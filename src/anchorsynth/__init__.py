@@ -50,6 +50,7 @@ from .scaffold import (
     supervised_anchor_loss,
 )
 from .synthworld import (
+    BlockDecoder,
     LinearDecoder,
     OracleDenoiser,
     SynthTask,

@@ -26,7 +26,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ import numpy as np
 from .attention import encode_memory
 from .containers import save_anchors, save_motion
 from .motion import ControlFamily, Motion, observe
-from .refine import RefineStep, SolverConfig, refine, soft_init
+from .refine import GUARD_SLACK, RefineStep, SolverConfig, objective, refine, soft_init
 from .scaffold import Anchor, AnchorSet, build_features, build_intervals, residuals
 from .synthworld import (
     OracleDenoiser,
@@ -53,6 +53,10 @@ SAMPLED_ANCHOR_COUNTS = (2, 4, 8, 16, 32)
 
 class ConfigError(ValueError):
     """Raised for malformed run configuration; maps to exit code 2."""
+
+
+class RefinementDiverged(RuntimeError):
+    """Refinement ended with a non-finite objective or above its start; exit code 1."""
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,11 @@ def _take(section: dict, where: str, allowed: dict) -> dict:
     out = dict(allowed)
     out.update(section)
     return out
+
+
+def _take_fields(section: dict, where: str, cls):
+    """Strictly build dataclass ``cls`` from a section: its fields are the keys."""
+    return cls(**_take(section, where, {f.name: f.default for f in fields(cls)}))
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -165,46 +174,9 @@ def parse_config(doc: dict) -> RunConfig:
                 )
             anchors = AnchorSpec(count=int(count))
 
-        tokens = TokenConfig(
-            **_take(
-                top["tokens"],
-                "tokens",
-                {
-                    "length": 16,
-                    "frames_per_token": 4,
-                    "codebook_size": 32,
-                    "embed_dim": 16,
-                    "separation": 0.3,
-                    "memory_dim": 16,
-                },
-            )
-        )
-
-        schedule = FlowSchedule(
-            **_take(
-                top["schedule"],
-                "schedule",
-                {"exponent": 0.9, "scale": 3.0, "steps": 64, "t_max": 1.0 - 1e-3},
-            )
-        )
-
-        solver = SolverConfig(
-            **_take(
-                top["solver"],
-                "solver",
-                {
-                    "smooth_weight": 0.1,
-                    "trust_weight": 0.01,
-                    "feasibility_weight": 0.0,
-                    "ridge": 0.1,
-                    "max_speed": 1.0,
-                    "step_size": 0.01,
-                    "steps": 200,
-                    "optimizer": "gd",
-                    "momentum": 0.9,
-                },
-            )
-        )
+        tokens = _take_fields(top["tokens"], "tokens", TokenConfig)
+        schedule = _take_fields(top["schedule"], "schedule", FlowSchedule)
+        solver = _take_fields(top["solver"], "solver", SolverConfig)
 
         den_raw = _take(top["denoiser"], "denoiser", {"kind": "oracle", "confusion": 0.0})
         if den_raw["kind"] != "oracle":
@@ -313,7 +285,7 @@ def build_world(config: RunConfig) -> World:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_sample_trace(path: Path, rows: list[SampleStep]) -> None:
@@ -367,7 +339,12 @@ def run_sample(config: RunConfig, out_dir: str | Path) -> dict:
 
 
 def run_refine(config: RunConfig, out_dir: str | Path) -> dict:
-    """Full lifecycle: sample, decode, refine against the anchors."""
+    """Full lifecycle: sample, decode, refine against the anchors.
+
+    Raises ``RefinementDiverged``, before any artifact is written, when the
+    refined objective is not finite or exceeds the initial one by more than
+    the gradient-descent guard's slack.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     world = build_world(config)
@@ -391,6 +368,12 @@ def run_refine(config: RunConfig, out_dir: str | Path) -> dict:
         soft, world.decoder, world.anchors, intervals, config.solver, config.tokens.frames_per_token
     )
     elapsed = time.perf_counter() - started
+    value_before, _ = objective(soft, world.decoder, world.anchors, config.solver)
+    value_after, _ = objective(refined_soft, world.decoder, world.anchors, config.solver)
+    if not value_after <= GUARD_SLACK * value_before:
+        raise RefinementDiverged(
+            f"refinement diverged: objective {value_before!r} -> {value_after!r}"
+        )
     refined = world.decoder.decode(refined_soft.u)
     error_after = control_error(refined, world.anchors)
 

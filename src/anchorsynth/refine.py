@@ -15,15 +15,21 @@ change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple, Protocol
 
 import numpy as np
-import scipy.linalg
 
 from .motion import Motion, observation_adjoint, observe
 from .scaffold import AnchorSet, IntervalPartition, anchor_loss
 from .tokenflow import Codebook, TokenSeq
+
+# a guarded gradient step may raise the objective by at most this factor
+GUARD_SLACK = 1.0 + 1e-9
+# a 2x2 routing block with det <= _BLOCK_RCOND * trace^2, so an eigenvalue
+# ratio of about that size, counts as singular
+_BLOCK_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,8 +71,7 @@ class DecoderModel(Protocol):
 class SolverConfig:
     """Refinement weights and optimizer settings.
 
-    The feasibility hinge is off by default. ``tolerance`` overrides the
-    control family's residual tolerance when set. The loss weights, ridge,
+    The feasibility hinge is off by default. The loss weights, ridge,
     and step size are tuned desk-scale defaults recorded here, not values
     with any outside provenance.
     """
@@ -80,7 +85,6 @@ class SolverConfig:
     steps: int = 200
     optimizer: str = "gd"
     momentum: float = 0.9
-    tolerance: float | None = None
 
     def __post_init__(self):
         for name in ("smooth_weight", "trust_weight", "feasibility_weight"):
@@ -99,8 +103,6 @@ class SolverConfig:
             raise ValueError("optimizer must be 'gd' or 'heavy_ball'")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
-        if self.tolerance is not None and not (self.tolerance > 0):
-            raise ValueError("tolerance must be positive when set")
 
 
 @dataclass
@@ -117,7 +119,9 @@ class BasisMatrix:
     Column block i covers tokens whose center frame falls in interval i;
     within the block, the first column is the constant 1 and the second is
     2s - 1 for normalized position s in [0, 1]. ``token_interval`` records
-    the assignment.
+    the assignment. Each row is nonzero only in its own interval's two
+    columns, so B^T B is block-diagonal, and its 2x2 blocks are computed
+    once.
     """
 
     matrix: np.ndarray
@@ -126,6 +130,16 @@ class BasisMatrix:
     @property
     def num_intervals(self) -> int:
         return self.matrix.shape[1] // 2
+
+    @cached_property
+    def gram_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entries (p, q, r) of each interval's 2x2 diagonal block of B^T B."""
+        const, slope = self.matrix[:, 0::2], self.matrix[:, 1::2]
+        return (
+            np.einsum("ni,ni->i", const, const),
+            np.einsum("ni,ni->i", const, slope),
+            np.einsum("ni,ni->i", slope, slope),
+        )
 
 
 @dataclass(frozen=True)
@@ -226,13 +240,29 @@ def _motion_cotangent(motion: Motion, anchors: AnchorSet, cfg: SolverConfig) -> 
     return cot
 
 
+class _Point(NamedTuple):
+    """Soft tokens with their decoded motion, objective parts and objective."""
+
+    soft: SoftTokens
+    motion: Motion
+    parts: dict[str, float]
+    value: float
+
+
+def _evaluate(
+    soft: SoftTokens, dec: DecoderModel, anchors: AnchorSet, cfg: SolverConfig
+) -> _Point:
+    motion = dec.decode(soft.u)
+    parts = _objective_terms(motion, soft, anchors, cfg)
+    return _Point(soft, motion, parts, parts["anc"] + parts["sm"] + parts["tr"] + parts["feas"])
+
+
 def objective(
     soft: SoftTokens, dec: DecoderModel, anchors: AnchorSet, cfg: SolverConfig
 ) -> tuple[float, dict[str, float]]:
     """Refinement objective and its additive parts {anc, sm, tr, feas}."""
-    motion = dec.decode(soft.u)
-    parts = _objective_terms(motion, soft, anchors, cfg)
-    return parts["anc"] + parts["sm"] + parts["tr"] + parts["feas"], parts
+    point = _evaluate(soft, dec, anchors, cfg)
+    return point.value, point.parts
 
 
 def grad_objective(
@@ -340,38 +370,41 @@ def route(
     """Project a raw update onto the interval basis with activity-gated ridge.
 
     Solves (B^T B + ridge * W) alpha = B^T delta, where W repeats (1 - a_i)
-    twice per interval, by Cholesky factorization; the routed update is
-    B @ alpha. A fully active interval (a_i = 1) with fewer than two tokens
-    leaves its block unregularized and flat; the solve then falls back to
-    the minimum-norm pseudo-inverse solution, which projects the update onto
-    the block's span exactly like the regular path. With ridge = 0 the basis
-    must have full column rank. Returns (routed update, coefficients).
+    twice per interval; the routed update is B @ alpha. Row n of B is
+    nonzero only in the two columns of interval ``token_interval[n]``, so
+    the system is block-diagonal with one 2x2 block per interval, and each
+    block is solved in closed form. A singular block gets its minimum-norm
+    pseudo-inverse solution: a fully active interval (a_i = 1) with a single
+    token projects the update onto the block's span, and an interval without
+    tokens gets zero coefficients.
+    With ridge = 0 the basis must have full column rank. Returns (routed
+    update, coefficients).
     """
     delta = np.asarray(delta, dtype=np.float64)
     b = basis.matrix
     if delta.ndim != 2 or delta.shape[0] != b.shape[0]:
         raise ValueError("update must be (L, d_u) matching the basis rows")
-    if activity.values.shape[0] != basis.num_intervals:
+    count = basis.num_intervals
+    if activity.values.shape[0] != count:
         raise ValueError("one activity per interval required")
 
-    gram = b.T @ b
-    rhs = b.T @ delta
-    weights = np.repeat(1.0 - activity.values, 2)
-    system = gram + ridge * np.diag(weights)
-
-    if ridge > 0:
-        try:
-            factor = scipy.linalg.cho_factor(system)
-            alpha = scipy.linalg.cho_solve(factor, rhs)
-        except np.linalg.LinAlgError:
-            alpha = np.linalg.pinv(system, rcond=1e-12) @ rhs
-    else:
-        if np.linalg.matrix_rank(b, tol=1e-12) < b.shape[1]:
-            raise np.linalg.LinAlgError(
-                "routed solve with ridge = 0 requires a full-column-rank basis"
-            )
-        alpha = np.linalg.pinv(system, rcond=1e-12) @ rhs
-
+    # diagonal 2x2 block [[p, q], [q, r]] of B^T B + ridge * W per interval
+    weight = ridge * (1.0 - activity.values)
+    p, q, r = basis.gram_blocks
+    p, r = p + weight, r + weight
+    det = p * r - q * q
+    trace = p + r
+    regular = det > _BLOCK_RCOND * trace * trace
+    if ridge == 0 and not np.all(regular):
+        raise np.linalg.LinAlgError(
+            "routed solve with ridge = 0 requires a full-column-rank basis"
+        )
+    # adjugate / det inverts a regular block; a singular one, M = t v v^T
+    # with t its trace, has pseudo-inverse M / t^2 (zero when M is zero)
+    denom = np.where(regular, det, np.where(trace > 0, trace * trace, 1.0))
+    inverse = np.where(regular, [r, -q, -q, p], [p, q, q, r]) / denom
+    rhs = (b.T @ delta).reshape(count, 2, -1)
+    alpha = (inverse.T.reshape(count, 2, 2) @ rhs).reshape(2 * count, -1)
     return b @ alpha, alpha
 
 
@@ -399,26 +432,44 @@ def refine(
     Per step: decode, refresh activities from the decoded motion, take the
     objective gradient, form the raw optimizer update, route it through the
     interval basis, and apply. The basis is built once; u0 is never touched.
+
+    Gradient descent is guarded against a step size above the stability
+    bound: when a step raised the objective above (1 + 1e-9) times the last
+    accepted objective, the loop returns to the last accepted point and
+    halves the step size. That step's trace row describes the accepted
+    point, so the traced objective never rises, and the result is never
+    worse than the start. A routed step below 2 / Lipschitz never raises a
+    quadratic objective, so a stable run takes exactly the unguarded steps.
+    Heavy-ball momentum is not guarded.
     """
-    tolerance = cfg.tolerance if cfg.tolerance is not None else anchors.family.tolerance
     basis = build_basis(intervals, soft0.u.shape[0], ratio)
     soft = SoftTokens(soft0.u.copy(), soft0.u0)
     state = OptState()
     trace: list[RefineStep] = []
+    guarded = cfg.optimizer == "gd"
+    step_cfg = cfg
+    accepted: _Point | None = None
 
-    for k in range(cfg.steps):
-        motion = dec.decode(soft.u)
-        act = activities(motion, anchors, intervals, tolerance)
-        parts = _objective_terms(motion, soft, anchors, cfg)
-        grad = _grad_from_motion(motion, soft, dec, anchors, cfg)
-        raw = opt_step(soft, grad, cfg, state)
+    # one pass more than there are steps checks the result of the last step
+    for k in range(cfg.steps + 1):
+        point = _evaluate(soft, dec, anchors, cfg)
+        if guarded and accepted is not None and not point.value <= GUARD_SLACK * accepted.value:
+            point = accepted
+            step_cfg = replace(step_cfg, step_size=step_cfg.step_size / 2)
+        accepted = point
+        soft = point.soft
+        if k == cfg.steps:
+            break
+        act = activities(point.motion, anchors, intervals, anchors.family.tolerance)
+        grad = _grad_from_motion(point.motion, soft, dec, anchors, cfg)
+        raw = opt_step(soft, grad, step_cfg, state)
         routed, _ = route(raw, basis, act, cfg.ridge)
         soft = soft.moved_to(soft.u + routed)
         trace.append(
             RefineStep(
                 step=k,
-                objective=parts["anc"] + parts["sm"] + parts["tr"] + parts["feas"],
-                anchor_loss=parts["anc"],
+                objective=point.value,
+                anchor_loss=point.parts["anc"],
                 mean_activity=act.mean,
                 update_norm=float(np.linalg.norm(routed)),
             )

@@ -1,9 +1,10 @@
 """Synthetic stand-ins for the pretrained pieces of the pipeline.
 
 Provides deterministic toy motions on a fixed rig, well-separated random
-codebooks, a window-mean tokenizer, an analytic linear decoder with an exact
-vector-Jacobian product, oracle-style test denoisers, and the meter-valued
-control-error metric. Everything is seeded explicitly.
+codebooks, a window-mean tokenizer with its paired block decoder, a generic
+dense linear decoder (both with exact vector-Jacobian products), oracle-style
+test denoisers, and the meter-valued control-error metric. Everything is
+seeded explicitly.
 """
 
 from __future__ import annotations
@@ -159,9 +160,53 @@ def make_decoder(
     return LinearDecoder(w, length, token_dim, frames, joints)
 
 
+@dataclass(frozen=True)
+class BlockDecoder:
+    """Paired decoder: token n writes ``u[n] @ g`` into every frame of its window.
+
+    It is the ``LinearDecoder`` whose weight holds ``g`` on the blocks
+    (token n, frame f) with ``f // ratio == n`` and zeros elsewhere, without
+    storing that weight. ``decode`` repeats each token's output row over its
+    window and drops the frames past ``frames``; the exact vector-Jacobian
+    product zero-pads the cotangent to the token grid, sums each window and
+    applies ``g.T``.
+    """
+
+    g: np.ndarray
+    ratio: int
+    frames: int
+
+    def __post_init__(self):
+        g = np.asarray(self.g, dtype=np.float64)
+        if g.ndim != 2 or g.shape[1] % 3:
+            raise ValueError("block map g must be (d_u, J * 3)")
+        if self.ratio < 1 or self.frames < 1:
+            raise ValueError("ratio and frames must be positive")
+        object.__setattr__(self, "g", g)
+
+    def _check_grid(self, length: int) -> None:
+        if length * self.ratio < self.frames:
+            raise ValueError("token grid must cover the frames")
+
+    def decode(self, u: np.ndarray) -> Motion:
+        rows = np.asarray(u, dtype=np.float64) @ self.g
+        self._check_grid(rows.shape[0])
+        flat = np.repeat(rows, self.ratio, axis=0)[: self.frames]
+        return Motion(flat.reshape(self.frames, -1, 3))
+
+    def vjp(self, u: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
+        length = np.shape(u)[0]
+        self._check_grid(length)
+        cot = np.asarray(cotangent, dtype=np.float64).reshape(self.frames, self.g.shape[1])
+        pad = length * self.ratio - self.frames
+        if pad:
+            cot = np.concatenate([cot, np.zeros((pad, cot.shape[1]))])
+        return cot.reshape(length, self.ratio, -1).sum(axis=1) @ self.g.T
+
+
 def make_paired_codec(
     cb: Codebook, length: int, frames: int, joints: int, ratio: int, seed: int
-) -> tuple[np.ndarray, LinearDecoder]:
+) -> tuple[np.ndarray, BlockDecoder]:
     """Encoder matrix and block decoder that invert each other through pooling.
 
     The decoder writes each token's embedding through a shared map G into
@@ -175,14 +220,7 @@ def make_paired_codec(
         raise ValueError("paired codec needs embedding dim <= joints * 3")
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(cb.dim, joints * 3))
-    w_enc = np.linalg.pinv(g)
-
-    weight = np.zeros((length * cb.dim, frames * joints * 3))
-    fdim = joints * 3
-    for n in range(length):
-        for f in range(n * ratio, min((n + 1) * ratio, frames)):
-            weight[n * cb.dim : (n + 1) * cb.dim, f * fdim : (f + 1) * fdim] = g
-    return w_enc, LinearDecoder(weight, length, cb.dim, frames, joints)
+    return np.linalg.pinv(g), BlockDecoder(g, ratio, frames)
 
 
 def tokenize(motion: Motion, cb: Codebook, ratio: int, w_enc: np.ndarray) -> TokenSeq:

@@ -1,12 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from anchorsynth import cli
 from anchorsynth.cli import (
     ConfigError,
+    _write_json,
     build_world,
     load_config,
     main,
@@ -15,6 +20,9 @@ from anchorsynth.cli import (
     run_refine,
     run_sample,
 )
+from anchorsynth.motion import observe
+from anchorsynth.refine import soft_init
+from anchorsynth.tokenflow import sample
 
 STANDARD = Path(__file__).resolve().parents[1] / "configs" / "standard.json"
 
@@ -38,6 +46,12 @@ def test_parse_rejects_unknown_top_level_key():
 def test_parse_rejects_unknown_nested_key():
     with pytest.raises(ConfigError, match="solver"):
         parse_config({"solver": {"step": 0.1}})
+
+
+@pytest.mark.parametrize("section", ["tokens", "schedule", "solver"])
+def test_parse_rejects_unknown_key_in_dataclass_section(section):
+    with pytest.raises(ConfigError, match=f"unknown keys in {section}"):
+        parse_config({section: {"bogus": 1}})
 
 
 def test_parse_rejects_bad_anchor_count():
@@ -201,6 +215,72 @@ def test_main_runtime_error_exit_one(tmp_path, capsys):
     code = main(["sample", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_main_unknown_solver_key_exit_two(tmp_path, capsys):
+    # the residual tolerance has one setting, family.tolerance
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"solver": {"tolerance": 0.1}}))
+    assert main(["refine", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown keys in solver" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step_size", [0.065, 0.07])  # finite 1e133 m, and Infinity
+def test_main_diverged_heavy_ball_exit_one(tmp_path, capsys, step_size):
+    config = tmp_path / "cfg.json"
+    solver = {"optimizer": "heavy_ball", "step_size": step_size, "steps": 500}
+    config.write_text(json.dumps({"solver": solver}))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["refine", "--config", str(config), "--out", str(out)])
+    assert code == 1
+    assert "refinement diverged" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_run_refine_from_the_optimum_exits_zero(tmp_path):
+    # anchors met by the initial motion and no smoothness term: zero gradient
+    doc = {"anchors": {"frames": [10, 40]}, "solver": {"smooth_weight": 0.0}}
+    cfg = parse_config(doc)
+    world = build_world(cfg)
+    tokens = sample(
+        world.denoiser,
+        cfg.tokens.length,
+        world.codebook,
+        cfg.schedule,
+        context=world.memory,
+        rng=world.sampler_rng,
+    )
+    initial = world.decoder.decode(soft_init(tokens, world.codebook).u)
+    doc["anchors"]["targets"] = observe(initial, cfg.family)[[10, 40]].tolist()
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["refine", "--config", str(config), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["control_error_before"] == summary["control_error_after"] == 0.0
+
+
+@pytest.mark.parametrize("rise, code", [(1e-12, 0), (1e-6, 1)])
+def test_run_refine_divergence_check_shares_the_guard_slack(tmp_path, monkeypatch, rise, code):
+    values = iter([2.0, 2.0 * (1.0 + rise)])
+    monkeypatch.setattr(cli, "objective", lambda *args: (next(values), {}))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"solver": {"steps": 1}}))
+    assert main(["refine", "--config", str(config), "--out", str(tmp_path / "out")]) == code
+
+
+def test_summary_json_rejects_non_finite(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "summary.json", {"control_error_after": float("inf")})
+
+
+def test_import_does_not_load_scipy():
+    import anchorsynth
+
+    probe = "import anchorsynth, sys; assert 'scipy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(Path(anchorsynth.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
 def test_main_preset_overrides_steps(tmp_path):

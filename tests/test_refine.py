@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -372,8 +375,9 @@ def test_route_large_ridge_shrinks_to_zero():
 
 def test_route_matches_dense_normal_equation_oracle():
     rng = np.random.default_rng(19)
-    for _ in range(50):
-        basis, _ = random_basis(rng)
+    extra = [degenerate_basis([62, 63]), degenerate_basis([8, 12])]  # empty / one-token block
+    for k in range(50 + len(extra)):
+        basis = extra[k - 50] if k >= 50 else random_basis(rng)[0]
         n_iv = basis.num_intervals
         delta = rng.normal(size=(basis.matrix.shape[0], int(rng.integers(1, 6))))
         act = ActivityVector(rng.uniform(0, 1, size=n_iv))
@@ -492,6 +496,53 @@ def test_route_ridge_zero_full_rank_projects():
     np.testing.assert_allclose(routed, expect, atol=1e-9)
 
 
+def dense_min_norm_oracle(basis, delta, act, lam):
+    """Minimum-norm solution of the full normal equations, and its routed update."""
+    b = basis.matrix
+    system = b.T @ b + lam * np.diag(np.repeat(1 - act.values, 2))
+    alpha = np.linalg.pinv(system, rcond=1e-12) @ (b.T @ delta)
+    return b @ alpha, alpha
+
+
+def degenerate_basis(frames):
+    """Standard 16 x 4 token grid with anchors at ``frames`` (64 frames)."""
+    anchors = anchors_for(ControlFamily.root3d(), frames, [np.zeros(3)] * len(frames))
+    return build_basis(build_intervals(anchors, 64), 16, 4)
+
+
+def test_route_empty_interval_gets_zero_coefficients():
+    # anchors at 62 and 63: no token center (n * 4 + 1.5) lies in [62, 63]
+    basis = degenerate_basis([62, 63])
+    assert basis.num_intervals == 2 and not np.any(basis.token_interval == 1)
+    rng = np.random.default_rng(26)
+    for activity in ([0.3, 0.0], [1.0, 1.0], [0.5, 1.0]):
+        act = ActivityVector(np.array(activity))
+        delta = rng.normal(size=(16, 5))
+        routed, alpha = route(delta, basis, act, 0.1)
+        assert np.array_equal(alpha[2:], np.zeros((2, 5)))
+        expect_routed, expect_alpha = dense_min_norm_oracle(basis, delta, act, 0.1)
+        np.testing.assert_allclose(alpha, expect_alpha, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(routed, expect_routed, rtol=0, atol=1e-12)
+    with pytest.raises(np.linalg.LinAlgError, match="full-column-rank"):
+        route(delta, basis, ActivityVector(np.array([0.3, 0.0])), 0.0)
+
+
+def test_route_single_token_fully_active_block_is_min_norm():
+    # anchors at 8 and 12: interval [8, 12) holds the single token center 9.5
+    basis = degenerate_basis([8, 12])
+    assert np.count_nonzero(basis.token_interval == 1) == 1
+    rng = np.random.default_rng(27)
+    for lam in (0.01, 0.1, 3.0):
+        act = ActivityVector(np.array([0.4, 1.0, 0.7]))
+        delta = rng.normal(size=(16, 4))
+        routed, alpha = route(delta, basis, act, lam)
+        expect_routed, expect_alpha = dense_min_norm_oracle(basis, delta, act, lam)
+        np.testing.assert_allclose(alpha, expect_alpha, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(routed, expect_routed, rtol=0, atol=1e-12)
+        # the lone token's update passes through unchanged
+        np.testing.assert_allclose(routed[2], delta[2], rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------- refine
 
 
@@ -569,3 +620,64 @@ def test_refine_trace_fields_monotone_objective_tail():
     assert objectives[-1] < objectives[0]
     assert all(row.update_norm >= 0 for row in trace)
     assert all(0.0 <= row.mean_activity <= 1.0 for row in trace)
+
+
+# ----------------------------------------------------------------- step guard
+
+
+def standard_refinement(solver_overrides):
+    """Soft tokens, decoder, anchors and intervals of the standard config, seed 0."""
+    from anchorsynth.cli import build_world, load_config
+    from anchorsynth.tokenflow import sample
+
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "standard.json")
+    config = replace(config, solver=replace(config.solver, **solver_overrides))
+    world = build_world(config)
+    tokens = sample(
+        world.denoiser,
+        config.tokens.length,
+        world.codebook,
+        config.schedule,
+        context=world.memory,
+        rng=world.sampler_rng,
+    )
+    soft = soft_init(tokens, world.codebook)
+    intervals = build_intervals(world.anchors, world.gt.frames)
+    return soft, world.decoder, world.anchors, intervals, config
+
+
+def unguarded_refine(soft, dec, anchors, intervals, cfg, ratio):
+    """The routed loop with every raw step applied as is."""
+    basis = build_basis(intervals, soft.u.shape[0], ratio)
+    state = OptState()
+    for _ in range(cfg.steps):
+        act = activities(dec.decode(soft.u), anchors, intervals, anchors.family.tolerance)
+        raw = opt_step(soft, grad_objective(soft, dec, anchors, cfg), cfg, state)
+        routed, _ = route(raw, basis, act, cfg.ridge)
+        soft = soft.moved_to(soft.u + routed)
+    return soft
+
+
+def test_guard_leaves_stable_run_bitwise_unchanged():
+    soft, dec, anchors, intervals, config = standard_refinement({"steps": 200})
+    ratio = config.tokens.frames_per_token
+    guarded, _ = refine(soft, dec, anchors, intervals, config.solver, ratio)
+    plain = unguarded_refine(soft, dec, anchors, intervals, config.solver, ratio)
+    assert np.array_equal(guarded.u, plain.u)
+
+
+def test_guard_keeps_unstable_step_size_converging():
+    # step 0.05 is above 2 / L on this task: unguarded, the loop overflows
+    from anchorsynth.synthworld import control_error
+
+    soft, dec, anchors, intervals, config = standard_refinement({"step_size": 0.05, "steps": 500})
+    ratio = config.tokens.frames_per_token
+    with np.errstate(over="ignore", invalid="ignore"):
+        diverged = unguarded_refine(soft, dec, anchors, intervals, config.solver, ratio)
+        assert not np.isfinite(objective(diverged, dec, anchors, config.solver)[0])
+    out, trace = refine(soft, dec, anchors, intervals, config.solver, ratio)
+    values = [row.objective for row in trace]
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    before = control_error(dec.decode(soft.u), anchors)
+    after = control_error(dec.decode(out.u), anchors)
+    assert after < 0.01 * before

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorsynth.motion import ControlFamily
 from anchorsynth.refine import soft_init
 from anchorsynth.scaffold import Anchor, AnchorSet, anchor_loss
 from anchorsynth.synthworld import (
+    BlockDecoder,
+    LinearDecoder,
     OracleDenoiser,
     SynthTask,
     control_error,
@@ -245,3 +249,70 @@ def test_synth_task_validation():
         SynthTask(kind="spiral")
     with pytest.raises(ValueError):
         SynthTask(frames=4)
+
+
+# --------------------------------------------------------------- block decoder
+
+
+def dense_paired_decoder(dec: BlockDecoder, length: int) -> LinearDecoder:
+    """The dense weight the block decoder stands for: g on every (n, f // ratio == n) block."""
+    dim, fdim = dec.g.shape
+    weight = np.zeros((length * dim, dec.frames * fdim))
+    for n in range(length):
+        for f in range(n * dec.ratio, min((n + 1) * dec.ratio, dec.frames)):
+            weight[n * dim : (n + 1) * dim, f * fdim : (f + 1) * fdim] = dec.g
+    return LinearDecoder(weight, length, dim, dec.frames, fdim // 3)
+
+
+@pytest.mark.parametrize(
+    "length, frames, ratio",
+    [(16, 64, 4), (5, 17, 4), (7, 7, 1), (3, 8, 3), (4, 10, 3)],  # exact and padded grids
+)
+def test_block_decoder_matches_dense_oracle(length, frames, ratio):
+    rng = np.random.default_rng(length * 100 + frames)
+    cb = make_codebook(12, 5, 0.3, seed=frames)
+    _, dec = make_paired_codec(cb, length, frames, 2, ratio, seed=ratio)
+    dense = dense_paired_decoder(dec, length)
+    for _ in range(5):
+        u = rng.normal(size=(length, 5))
+        cot = rng.normal(size=(frames, 2, 3))
+        np.testing.assert_allclose(dec.decode(u).positions, dense.decode(u).positions, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dec.vjp(u, cot), dense.vjp(u, cot), rtol=0, atol=1e-12)
+
+
+def test_paired_codec_returns_block_decoder_without_dense_weight():
+    cb = make_codebook(32, 16, 0.3, seed=5)
+    _, dec = make_paired_codec(cb, 256, 1024, 6, 4, seed=6)
+    assert isinstance(dec, BlockDecoder)
+    stored = sum(v.nbytes for v in vars(dec).values() if isinstance(v, np.ndarray))
+    assert stored == 16 * 18 * 8
+
+
+def test_block_decoder_rejects_uncovered_frames():
+    dec = BlockDecoder(np.ones((2, 3)), ratio=4, frames=10)
+    with pytest.raises(ValueError, match="cover"):
+        dec.decode(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="cover"):
+        dec.vjp(np.ones((2, 2)), np.ones((10, 1, 3)))
+    with pytest.raises(ValueError, match="g must be"):
+        BlockDecoder(np.ones((2, 4)), ratio=4, frames=10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(2, 6),
+    ratio=st.integers(1, 4),
+    dim=st.integers(1, 4),
+    joints=st.integers(1, 3),
+    short=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_decoder_adjoint_identity(length, ratio, dim, joints, short, seed):
+    frames = max(length * ratio - short, 2)
+    rng = np.random.default_rng(seed)
+    dec = BlockDecoder(rng.normal(size=(dim, joints * 3)), ratio, frames)
+    u = rng.normal(size=(length, dim))
+    cot = rng.normal(size=(frames, joints, 3))
+    lhs = float(np.sum(dec.decode(u).positions * cot))
+    rhs = float(np.sum(u * dec.vjp(u, cot)))
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
