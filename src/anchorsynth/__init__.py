@@ -7,7 +7,6 @@ soft-token refinement (:mod:`anchorsynth.refine`), a synthetic test world
 (:mod:`anchorsynth.synthworld`), and a CLI (:mod:`anchorsynth.cli`).
 """
 
-from ._kernels import active_backend, use_backend
 from .attention import (
     ConditionMemory,
     KvProjection,

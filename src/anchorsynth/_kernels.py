@@ -1,130 +1,14 @@
-"""Per-position sampling kernels, compiled with numba when available.
+"""Per-position sampling kernels of the token sampler, in vectorized numpy.
 
-Two implementations back every kernel: a numba ``@njit`` loop and a
-vectorized pure-numpy path. The active backend is chosen once, lazily, from
-the ``ANCHORSYNTH_BACKEND`` environment variable:
-
-* ``auto`` (default): numba when importable, numpy otherwise
-* ``numba``: require numba, fail loudly if missing
-* ``numpy``: force the pure-numpy path
-
-Both paths are written to produce bit-identical outputs: they use only
-IEEE add/multiply/compare in the same accumulation order (running sums on
-the numba side, ``np.cumsum`` on the numpy side), and all transcendentals
-stay in shared caller code. ``benchmarks/backend_bench.py`` times the two
-paths against each other.
+``tokenflow`` calls them through this module's attributes, so a tracer can
+time each kernel by swapping the attribute. They use only IEEE
+add/multiply/compare, with row sums accumulated left to right by
+``np.cumsum``; all transcendentals stay in the calling code.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-ENV_VAR = "ANCHORSYNTH_BACKEND"
-
-_active: str | None = None
-
-
-def active_backend() -> str:
-    """Resolve and return the backend name, 'numba' or 'numpy'."""
-    global _active
-    if _active is None:
-        choice = os.environ.get(ENV_VAR, "auto").strip().lower()
-        if choice not in ("auto", "numba", "numpy"):
-            raise ValueError(f"{ENV_VAR} must be auto, numba or numpy, got {choice!r}")
-        if choice == "auto":
-            _active = "numba" if HAS_NUMBA else "numpy"
-        else:
-            if choice == "numba" and not HAS_NUMBA:
-                raise ImportError("numba backend requested but numba is not installed")
-            _active = choice
-    return _active
-
-
-def use_backend(name: str) -> None:
-    """Force a backend ('numba' or 'numpy'); used by tests and benchmarks."""
-    global _active
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"backend must be 'numba' or 'numpy', got {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise ImportError("numba backend requested but numba is not installed")
-    _active = name
-
-
-def _rate_rows_np(current, proposal, distances, corruption):
-    dxp = distances[current, proposal]
-    cand = distances[:, proposal].T  # cand[n, i] = d(i, proposal_n)
-    gap = np.maximum(dxp[:, None] - cand, 0.0)
-    rates = corruption * gap
-    totals = np.cumsum(rates, axis=1)[:, -1]
-    return rates, totals
-
-
-def _pick_np(weights, uniforms):
-    n, v = weights.shape
-    cum = np.cumsum(weights, axis=1)
-    thr = uniforms * cum[:, -1]
-    count = np.sum(cum <= thr[:, None], axis=1)
-    positive = weights > 0.0
-    rev_first = np.argmax(positive[:, ::-1], axis=1)
-    last = np.where(positive.any(axis=1), v - 1 - rev_first, 0)
-    return np.where(count < v, count, last).astype(np.int64)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _rate_rows_nb(current, proposal, distances, corruption):
-        n, v = corruption.shape
-        rates = np.zeros((n, v))
-        totals = np.zeros(n)
-        for i in range(n):
-            dxp = distances[current[i], proposal[i]]
-            s = 0.0
-            for j in range(v):
-                gap = dxp - distances[j, proposal[i]]
-                if gap > 0.0:
-                    r = corruption[i, j] * gap
-                    rates[i, j] = r
-                    s += r
-            totals[i] = s
-        return rates, totals
-
-    @njit(cache=True)
-    def _pick_nb(weights, uniforms):
-        n, v = weights.shape
-        out = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            total = 0.0
-            last = 0
-            found = False
-            for j in range(v):
-                w = weights[i, j]
-                if w > 0.0:
-                    last = j
-                    found = True
-                total += w
-            if not found:
-                out[i] = 0
-                continue
-            thr = uniforms[i] * total
-            dest = last
-            s = 0.0
-            for j in range(v):
-                s += weights[i, j]
-                if s > thr:
-                    dest = j
-                    break
-            out[i] = dest
-        return out
 
 
 def rate_rows(current, proposal, distances, corruption):
@@ -134,9 +18,12 @@ def rate_rows(current, proposal, distances, corruption):
     the time-derivative factor of the full jump rate is applied by the
     caller, so these weights already carry the correct relative masses.
     """
-    if active_backend() == "numba":
-        return _rate_rows_nb(current, proposal, distances, corruption)
-    return _rate_rows_np(current, proposal, distances, corruption)
+    dxp = distances[current, proposal]
+    cand = distances[:, proposal].T  # cand[n, i] = d(i, proposal_n)
+    gap = np.maximum(dxp[:, None] - cand, 0.0)
+    rates = corruption * gap
+    totals = np.cumsum(rates, axis=1)[:, -1]
+    return rates, totals
 
 
 def weighted_pick(weights, uniforms):
@@ -146,6 +33,11 @@ def weighted_pick(weights, uniforms):
     sum exceeds ``u * total``. Rows with no positive weight return 0; the
     caller masks those out.
     """
-    if active_backend() == "numba":
-        return _pick_nb(weights, uniforms)
-    return _pick_np(weights, uniforms)
+    v = weights.shape[1]
+    cum = np.cumsum(weights, axis=1)
+    thr = uniforms * cum[:, -1]
+    count = np.sum(cum <= thr[:, None], axis=1)
+    positive = weights > 0.0
+    rev_first = np.argmax(positive[:, ::-1], axis=1)
+    last = np.where(positive.any(axis=1), v - 1 - rev_first, 0)
+    return np.where(count < v, count, last).astype(np.int64)

@@ -86,7 +86,6 @@ class RunConfig:
     schedule: FlowSchedule
     solver: SolverConfig
     confusion: float = 0.0
-    support_radius: int = 2
 
 
 def _take(section: dict, where: str, allowed: dict) -> dict:
@@ -121,7 +120,6 @@ def parse_config(doc: dict) -> RunConfig:
             "schedule": {},
             "solver": {},
             "denoiser": {},
-            "support_radius": 2,
         },
     )
 
@@ -183,10 +181,6 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError("denoiser.kind must be 'oracle'")
         confusion = float(den_raw["confusion"])
 
-        support_radius = int(top["support_radius"])
-        if support_radius < 0:
-            raise ConfigError("support_radius must be nonnegative")
-
         return RunConfig(
             seed=int(top["seed"]),
             task=task,
@@ -196,7 +190,6 @@ def parse_config(doc: dict) -> RunConfig:
             schedule=schedule,
             solver=solver,
             confusion=confusion,
-            support_radius=support_radius,
         )
     except ConfigError:
         raise
@@ -400,17 +393,6 @@ def run_bench(config: RunConfig, out_dir: str | Path, presets: list[str] | None 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = presets if presets is not None else ["rs0", "rs100", "rs200", "rs500"]
-
-    # untimed warmup so kernel compilation does not land on the first row
-    warm = build_world(replace(config, solver=replace(config.solver, steps=0)))
-    sample(
-        warm.denoiser,
-        config.tokens.length,
-        warm.codebook,
-        config.schedule,
-        context=warm.memory,
-        rng=warm.sampler_rng,
-    )
 
     rows = []
     for name in names:

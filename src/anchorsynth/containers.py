@@ -8,6 +8,9 @@ encodings, chosen by file suffix:
 * anything else: binary, little-endian: the 6-byte magic ``b"ARRC1\\n"``,
   a uint32 rank, rank uint64 dimensions, then float64 values in C order.
 
+Loading checks the declared shape against the payload before reading it; a
+malformed container raises ``ValueError`` naming the file and the defect.
+
 Anchor sets exchange as JSON documents::
 
     {"family": "root3d" | "planar_root" | "body_point",
@@ -21,6 +24,7 @@ the document; it is supplied when loading.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -47,20 +51,50 @@ def save_array(path: str | Path, array: np.ndarray) -> None:
 
 
 def load_array(path: str | Path) -> np.ndarray:
+    """Read an array container; a malformed file raises ``ValueError`` naming it."""
     path = Path(path)
     if path.suffix == ".json":
-        doc = json.loads(path.read_text())
-        return np.asarray(doc["data"], dtype=np.float64).reshape(doc["shape"])
+        return _load_json_array(path)
     raw = path.read_bytes()
     if raw[: len(_MAGIC)] != _MAGIC:
         raise ValueError(f"{path} is not an array container")
     offset = len(_MAGIC)
+    if len(raw) < offset + 4:
+        raise ValueError(f"{path}: truncated header, no rank")
     (ndim,) = struct.unpack_from("<I", raw, offset)
     offset += 4
+    if len(raw) < offset + 8 * ndim:
+        raise ValueError(
+            f"{path}: truncated dims block, rank {ndim} needs {8 * ndim} bytes, {len(raw) - offset} left"
+        )
     shape = struct.unpack_from(f"<{ndim}Q", raw, offset)
     offset += 8 * ndim
+    payload, needed = len(raw) - offset, 8 * math.prod(shape)
+    if payload != needed:
+        raise ValueError(f"{path}: shape {list(shape)} needs {needed} payload bytes, found {payload}")
     data = np.frombuffer(raw, dtype="<f8", offset=offset)
     return data.reshape(shape).astype(np.float64)
+
+
+def _load_json_array(path: Path) -> np.ndarray:
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or set(doc) != {"shape", "data"}:
+        raise ValueError(f"{path}: an array container is an object with keys 'shape' and 'data'")
+    shape = doc["shape"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"{path}: shape must be a list of nonnegative integers, got {shape!r}")
+    try:
+        data = np.asarray(doc["data"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: data must be a list of numbers: {exc}") from exc
+    if data.ndim != 1:
+        raise ValueError(f"{path}: data must be a flat list of numbers")
+    if data.size != math.prod(shape):
+        raise ValueError(f"{path}: shape {shape} needs {math.prod(shape)} values, found {data.size}")
+    return data.reshape(shape)
 
 
 def save_motion(path: str | Path, motion: Motion) -> None:

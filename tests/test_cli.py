@@ -225,6 +225,14 @@ def test_main_unknown_solver_key_exit_two(tmp_path, capsys):
     assert "unknown keys in solver" in capsys.readouterr().err
 
 
+def test_main_support_radius_key_exit_two(tmp_path, capsys):
+    # support_radius changed no artifact at any value, so it is not a config key
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"support_radius": 2}))
+    assert main(["refine", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown keys in config: ['support_radius']" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("step_size", [0.065, 0.07])  # finite 1e133 m, and Infinity
 def test_main_diverged_heavy_ball_exit_one(tmp_path, capsys, step_size):
     config = tmp_path / "cfg.json"

@@ -1,5 +1,13 @@
+import json
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from anchorsynth.containers import (
     load_anchors,
@@ -36,6 +44,53 @@ def test_binary_rejects_foreign_file(tmp_path):
     path.write_bytes(b"hello world")
     with pytest.raises(ValueError, match="container"):
         load_array(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+    st.sampled_from(["arr.json", "arr.bin"]),
+)
+def test_array_round_trip_property(array, name):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / name
+        save_array(path, array)
+        back = load_array(path)
+    assert back.shape == array.shape
+    assert np.array_equal(back, array, equal_nan=True)
+
+
+MAGIC = b"ARRC1\n"
+GOOD_BIN = MAGIC + struct.pack("<I2Q", 2, 3, 4) + np.arange(12.0).astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, content, defect",
+    [
+        ("header.bin", MAGIC + b"\x02\x00", "truncated header"),
+        ("dims.bin", MAGIC + struct.pack("<IQ", 2, 3), "truncated dims block"),
+        ("rank.bin", MAGIC + struct.pack("<I", 10**9), "truncated dims block"),
+        ("short.bin", GOOD_BIN[:-8], "needs 96 payload bytes, found 88"),
+        ("extra.bin", GOOD_BIN + bytes(8), "needs 96 payload bytes, found 104"),
+        ("ragged.bin", GOOD_BIN + bytes(3), "needs 96 payload bytes, found 99"),
+        ("noshape.json", json.dumps({"data": [1.0, 2.0]}), "keys 'shape' and 'data'"),
+        ("list.json", json.dumps([1.0, 2.0]), "keys 'shape' and 'data'"),
+        ("broken.json", "{", "not valid JSON"),
+        ("badshape.json", json.dumps({"shape": [2.5], "data": [1.0]}), "nonnegative integers"),
+        ("strings.json", json.dumps({"shape": [1], "data": ["x"]}), "list of numbers"),
+        ("nested.json", json.dumps({"shape": [2], "data": [[1.0], [2.0]]}), "flat list"),
+        ("mismatch.json", json.dumps({"shape": [3, 4], "data": [1.0, 2.0]}), "needs 12 values, found 2"),
+    ],
+)
+def test_malformed_container_fails_at_the_boundary(tmp_path, name, content, defect):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    with pytest.raises(ValueError, match=defect) as info:
+        load_array(path)
+    assert str(path) in str(info.value)
 
 
 def test_motion_round_trip_both_formats(tmp_path):
@@ -104,8 +159,6 @@ def test_kv_projection_matrices_load_from_container(tmp_path):
 
 
 def test_anchor_document_schema(tmp_path):
-    import json
-
     family = ControlFamily.planar_root()
     anchors = AnchorSet(family, (Anchor(5, np.array([0.5, -0.5])),))
     path = tmp_path / "anchors.json"

@@ -1,4 +1,9 @@
-"""The numba kernels and the pure-numpy fallback must agree bit for bit."""
+"""The numpy sampling kernels against plain-Python loop references.
+
+The references accumulate each row left to right with IEEE add/multiply/
+compare only, as ``np.cumsum`` does, so the kernels must match them bit for
+bit, and the sampler must draw the same ids with either.
+"""
 
 import numpy as np
 import pytest
@@ -7,14 +12,49 @@ from anchorsynth import _kernels
 from anchorsynth.synthworld import OracleDenoiser, make_codebook
 from anchorsynth.tokenflow import FlowSchedule, TokenSeq, corrupt, sample
 
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
+
+def reference_rate_rows(current, proposal, distances, corruption):
+    n, v = corruption.shape
+    rates = np.zeros((n, v))
+    totals = np.zeros(n)
+    for i in range(n):
+        dxp = distances[current[i], proposal[i]]
+        s = 0.0
+        for j in range(v):
+            gap = dxp - distances[j, proposal[i]]
+            if gap > 0.0:
+                r = corruption[i, j] * gap
+                rates[i, j] = r
+                s += r
+        totals[i] = s
+    return rates, totals
 
 
-@pytest.fixture
-def restore_backend():
-    before = _kernels.active_backend()
-    yield
-    _kernels.use_backend(before)
+def reference_weighted_pick(weights, uniforms):
+    n, v = weights.shape
+    out = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        total = 0.0
+        last = 0
+        found = False
+        for j in range(v):
+            w = weights[i, j]
+            if w > 0.0:
+                last = j
+                found = True
+            total += w
+        if not found:
+            continue
+        thr = uniforms[i] * total
+        dest = last
+        s = 0.0
+        for j in range(v):
+            s += weights[i, j]
+            if s > thr:
+                dest = j
+                break
+        out[i] = dest
+    return out
 
 
 def random_rate_inputs(rng, n=64, v=24):
@@ -26,70 +66,68 @@ def random_rate_inputs(rng, n=64, v=24):
     return current, proposal, cb.distances, corruption
 
 
-@needs_numba
-def test_rate_rows_backends_identical(restore_backend):
+def test_rate_rows_matches_reference_bitwise():
     rng = np.random.default_rng(0)
     for _ in range(10):
         args = random_rate_inputs(rng)
-        _kernels.use_backend("numpy")
-        rates_np, totals_np = _kernels.rate_rows(*args)
-        _kernels.use_backend("numba")
-        rates_nb, totals_nb = _kernels.rate_rows(*args)
-        assert np.array_equal(rates_np, rates_nb)
-        assert np.array_equal(totals_np, totals_nb)
+        rates, totals = _kernels.rate_rows(*args)
+        ref_rates, ref_totals = reference_rate_rows(*args)
+        assert np.array_equal(rates, ref_rates)
+        assert np.array_equal(totals, ref_totals)
 
 
-@needs_numba
-def test_weighted_pick_backends_identical(restore_backend):
+def test_weighted_pick_matches_reference_bitwise():
     rng = np.random.default_rng(1)
     for _ in range(10):
         weights = rng.random((128, 16))
         weights[rng.random((128, 16)) < 0.5] = 0.0  # plenty of zero entries
         weights[3] = 0.0  # a fully dead row
         uniforms = rng.random(128)
-        _kernels.use_backend("numpy")
-        a = _kernels.weighted_pick(weights, uniforms)
-        _kernels.use_backend("numba")
-        b = _kernels.weighted_pick(weights, uniforms)
-        assert np.array_equal(a, b)
+        ids = _kernels.weighted_pick(weights, uniforms)
+        assert np.array_equal(ids, reference_weighted_pick(weights, uniforms))
+        assert ids[3] == 0
 
 
-@needs_numba
-def test_weighted_pick_uniform_near_one(restore_backend):
-    # u close to 1 exercises the last-positive-index guard on both paths
-    weights = np.array([[0.25, 0.0, 0.75, 0.0], [0.0, 1.0, 0.0, 0.0]])
-    uniforms = np.array([1.0 - 1e-16, 1.0 - 1e-16])
-    _kernels.use_backend("numpy")
-    a = _kernels.weighted_pick(weights, uniforms)
-    _kernels.use_backend("numba")
-    b = _kernels.weighted_pick(weights, uniforms)
-    assert np.array_equal(a, b)
-    assert a.tolist() == [2, 1]
+@pytest.mark.parametrize(
+    "weights, u",
+    [
+        # u close to 1 exercises the last-positive-index guard
+        ([[0.25, 0.0, 0.75, 0.0], [0.0, 1.0, 0.0, 0.0]], 1.0 - 1e-16),
+        # u = 0 puts the threshold on the running sum of leading zero weights
+        ([[0.0, 0.0, 0.5, 0.5], [0.0, 1.0, 0.0, 0.0]], 0.0),
+    ],
+)
+def test_weighted_pick_extreme_uniforms(weights, u):
+    weights = np.array(weights)
+    uniforms = np.full(2, u)
+    ids = _kernels.weighted_pick(weights, uniforms)
+    assert np.array_equal(ids, reference_weighted_pick(weights, uniforms))
+    assert ids.tolist() == [2, 1]
 
 
-@needs_numba
-def test_corrupt_backends_identical(restore_backend):
+def test_corrupt_matches_reference_kernels(monkeypatch):
     cb = make_codebook(20, 10, 0.2, seed=5)
     sched = FlowSchedule()
     clean = TokenSeq(np.random.default_rng(6).integers(0, 20, size=500))
-    outs = {}
-    for backend in ("numpy", "numba"):
-        _kernels.use_backend(backend)
-        outs[backend] = corrupt(clean, 0.5, cb, sched, np.random.default_rng(7))
-    assert np.array_equal(outs["numpy"].ids, outs["numba"].ids)
+    ids = corrupt(clean, 0.5, cb, sched, np.random.default_rng(7)).ids
+    monkeypatch.setattr(_kernels, "weighted_pick", reference_weighted_pick)
+    ref = corrupt(clean, 0.5, cb, sched, np.random.default_rng(7)).ids
+    assert np.array_equal(ids, ref)
 
 
-@needs_numba
-def test_sample_backends_identical(restore_backend):
+def test_sample_matches_reference_kernels(monkeypatch):
     cb = make_codebook(32, 16, 0.3, seed=8)
     sched = FlowSchedule(steps=64)
     clean = TokenSeq(np.random.default_rng(9).integers(0, 32, size=16))
-    outs = {}
-    for backend in ("numpy", "numba"):
-        _kernels.use_backend(backend)
+
+    def run():
         den = OracleDenoiser(clean, 32, 0.2, seed=10)
-        outs[backend] = sample(den, 16, cb, sched, rng=np.random.default_rng(11))
-    assert np.array_equal(outs["numpy"].ids, outs["numba"].ids)
+        return sample(den, 16, cb, sched, rng=np.random.default_rng(11)).ids
+
+    ids = run()
+    monkeypatch.setattr(_kernels, "rate_rows", reference_rate_rows)
+    monkeypatch.setattr(_kernels, "weighted_pick", reference_weighted_pick)
+    assert np.array_equal(ids, run())
 
 
 def test_weighted_pick_dead_rows_return_zero():
@@ -107,8 +145,3 @@ def test_weighted_pick_matches_searchsorted_oracle():
         cdf = np.cumsum(weights[row])
         expect = int(np.searchsorted(cdf, uniforms[row] * cdf[-1], side="right"))
         assert ids[row] == min(expect, 11)
-
-
-def test_use_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        _kernels.use_backend("cuda")

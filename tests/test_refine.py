@@ -3,9 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorsynth.motion import ControlFamily, Motion, observe
 from anchorsynth.refine import (
+    GUARD_SLACK,
     ActivityVector,
     BasisMatrix,
     OptState,
@@ -625,13 +628,19 @@ def test_refine_trace_fields_monotone_objective_tail():
 # ----------------------------------------------------------------- step guard
 
 
-def standard_refinement(solver_overrides):
-    """Soft tokens, decoder, anchors and intervals of the standard config, seed 0."""
+def standard_refinement(solver_overrides, seed=0, kind="line", family=None):
+    """Soft tokens, decoder, anchors and intervals of the standard config."""
     from anchorsynth.cli import build_world, load_config
     from anchorsynth.tokenflow import sample
 
     config = load_config(Path(__file__).resolve().parents[1] / "configs" / "standard.json")
-    config = replace(config, solver=replace(config.solver, **solver_overrides))
+    config = replace(
+        config,
+        seed=seed,
+        task=replace(config.task, kind=kind),
+        family=family or config.family,
+        solver=replace(config.solver, **solver_overrides),
+    )
     world = build_world(config)
     tokens = sample(
         world.denoiser,
@@ -681,3 +690,22 @@ def test_guard_keeps_unstable_step_size_converging():
     before = control_error(dec.decode(soft.u), anchors)
     after = control_error(dec.decode(out.u), anchors)
     assert after < 0.01 * before
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    step_size=st.floats(0.0, 0.2, exclude_min=True),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["line", "circle", "sinusoid", "random-walk"]),
+    family=st.sampled_from(
+        [ControlFamily.root3d(), ControlFamily.planar_root(), ControlFamily.body_point(3)]
+    ),
+)
+def test_guarded_gd_never_ends_above_its_start(step_size, seed, kind, family):
+    overrides = {"optimizer": "gd", "step_size": step_size, "steps": 100}
+    soft, dec, anchors, intervals, config = standard_refinement(overrides, seed, kind, family)
+    out, trace = refine(soft, dec, anchors, intervals, config.solver, config.tokens.frames_per_token)
+    start = objective(soft, dec, anchors, config.solver)[0]
+    assert objective(out, dec, anchors, config.solver)[0] <= GUARD_SLACK * start
+    values = [row.objective for row in trace]
+    assert all(b <= a for a, b in zip(values, values[1:]))
