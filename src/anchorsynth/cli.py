@@ -45,7 +45,7 @@ from .synthworld import (
     make_paired_codec,
     tokenize,
 )
-from .tokenflow import FlowSchedule, SampleStep, sample
+from .tokenflow import FlowSchedule, SampleStep, TokenSeq, sample
 
 PRESETS = {"rs0": 0, "rs100": 100, "rs200": 200, "rs500": 500}
 SAMPLED_ANCHOR_COUNTS = (2, 4, 8, 16, 32)
@@ -101,8 +101,15 @@ def _take(section: dict, where: str, allowed: dict) -> dict:
 
 
 def _take_fields(section: dict, where: str, cls):
-    """Strictly build dataclass ``cls`` from a section: its fields are the keys."""
-    return cls(**_take(section, where, {f.name: f.default for f in fields(cls)}))
+    """Strictly build dataclass ``cls`` from a section: its fields are the keys.
+
+    A field whose default is an integer takes only an integer.
+    """
+    values = _take(section, where, {f.name: f.default for f in fields(cls)})
+    for f in fields(cls):
+        if type(f.default) is int and type(values[f.name]) is not int:
+            raise ConfigError(f"{where}.{f.name} must be an integer, got {values[f.name]!r}")
+    return cls(**values)
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -158,6 +165,8 @@ def parse_config(doc: dict) -> RunConfig:
             if anc_raw["count"] is not None:
                 raise ConfigError("anchors: give either count or frames, not both")
             frames = tuple(int(f) for f in anc_raw["frames"])
+            if len(set(frames)) != len(frames):
+                raise ConfigError("anchors.frames must be distinct")
             targets = anc_raw["targets"]
             if targets is not None:
                 targets = tuple(tuple(float(x) for x in row) for row in targets)
@@ -180,6 +189,8 @@ def parse_config(doc: dict) -> RunConfig:
         if den_raw["kind"] != "oracle":
             raise ConfigError("denoiser.kind must be 'oracle'")
         confusion = float(den_raw["confusion"])
+        if not (0.0 <= confusion < 1.0):
+            raise ConfigError("denoiser.confusion must lie in [0, 1)")
 
         return RunConfig(
             seed=int(top["seed"]),
@@ -226,6 +237,14 @@ def build_world(config: RunConfig) -> World:
         raise ConfigError("tokens.length * frames_per_token must cover task.frames")
     if config.family.variant == "body_point" and config.family.joint >= config.task.joints:
         raise ConfigError("family.joint out of range for task.joints")
+    if config.seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    if tok.codebook_size < 2:
+        raise ConfigError("tokens.codebook_size must be at least 2")
+    if not (0.0 <= tok.separation <= 2.0):
+        raise ConfigError("tokens.separation must lie in [0, 2]")
+    if tok.embed_dim > 3 * config.task.joints:
+        raise ConfigError("tokens.embed_dim must be at most 3 * task.joints")
 
     children = np.random.SeedSequence(config.seed).spawn(7)
     task_seed, cb_seed, codec_seed, anchor_seed, memory_seed, sampler_seed, den_seed = (
@@ -277,6 +296,19 @@ def build_world(config: RunConfig) -> World:
     )
 
 
+def generate(world: World, config: RunConfig, trace: list[SampleStep] | None = None) -> TokenSeq:
+    """Sample a token sequence from the world's denoiser under the configured schedule."""
+    return sample(
+        world.denoiser,
+        config.tokens.length,
+        world.codebook,
+        config.schedule,
+        context=world.memory,
+        rng=world.sampler_rng,
+        trace=trace,
+    )
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
@@ -306,15 +338,7 @@ def run_sample(config: RunConfig, out_dir: str | Path) -> dict:
     world = build_world(config)
 
     trace: list[SampleStep] = []
-    tokens = sample(
-        world.denoiser,
-        config.tokens.length,
-        world.codebook,
-        config.schedule,
-        context=world.memory,
-        rng=world.sampler_rng,
-        trace=trace,
-    )
+    tokens = generate(world, config, trace)
     motion = world.decoder.decode(soft_init(tokens, world.codebook).u)
 
     summary = {
@@ -342,14 +366,7 @@ def run_refine(config: RunConfig, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     world = build_world(config)
 
-    tokens = sample(
-        world.denoiser,
-        config.tokens.length,
-        world.codebook,
-        config.schedule,
-        context=world.memory,
-        rng=world.sampler_rng,
-    )
+    tokens = generate(world, config)
     soft = soft_init(tokens, world.codebook)
     initial = world.decoder.decode(soft.u)
     error_before = control_error(initial, world.anchors)
@@ -401,14 +418,7 @@ def run_bench(config: RunConfig, out_dir: str | Path, presets: list[str] | None 
         cfg = replace(config, solver=replace(config.solver, steps=PRESETS[name]))
         world = build_world(cfg)
         started = time.perf_counter()
-        tokens = sample(
-            world.denoiser,
-            cfg.tokens.length,
-            world.codebook,
-            cfg.schedule,
-            context=world.memory,
-            rng=world.sampler_rng,
-        )
+        tokens = generate(world, cfg)
         soft = soft_init(tokens, world.codebook)
         intervals = build_intervals(world.anchors, world.gt.frames)
         refine(soft, world.decoder, world.anchors, intervals, cfg.solver, cfg.tokens.frames_per_token)

@@ -8,9 +8,10 @@ per-interval ridge whose strength falls as the interval's endpoint anchor
 error grows. Intervals that already satisfy their anchors are softly frozen;
 violated intervals receive correction capacity.
 
-The interval basis is built once from the fixed anchor times; activities are
-refreshed from the decoded motion at every step; decoder parameters never
-change.
+The interval basis is built once from the fixed anchor times. At every step
+one observation of the decoded motion gives the objective, its gradient and
+the anchor residuals, and the activities are read from those residuals;
+decoder parameters never change.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from .motion import Motion, observation_adjoint, observe
-from .scaffold import AnchorSet, IntervalPartition, anchor_loss
+from .scaffold import AnchorSet, IntervalPartition, ResidualScaffold
 from .tokenflow import Codebook, TokenSeq
 
 # a guarded gradient step may raise the objective by at most this factor
@@ -169,61 +170,63 @@ def soft_init(tokens: TokenSeq, cb: Codebook) -> SoftTokens:
     return SoftTokens(u, u)
 
 
-def _objective_terms(
-    motion: Motion, soft: SoftTokens, anchors: AnchorSet, cfg: SolverConfig
-) -> dict[str, float]:
+class _Point(NamedTuple):
+    """Soft tokens with their objective, its parts, the motion-space gradient
+    of the motion terms and the anchor residuals, all from one decode."""
+
+    soft: SoftTokens
+    parts: dict[str, float]
+    value: float
+    cotangent: np.ndarray
+    residuals: ResidualScaffold
+
+    def gradient(self, dec: DecoderModel, cfg: SolverConfig) -> np.ndarray:
+        """Exact gradient of the objective with respect to the soft tokens."""
+        u, u0 = self.soft.u, self.soft.u0
+        grad = dec.vjp(u, self.cotangent) + 2.0 * cfg.trust_weight * (u - u0)
+        if not np.all(np.isfinite(grad)):
+            raise FloatingPointError("non-finite gradient")
+        return grad
+
+
+def _evaluate(
+    soft: SoftTokens, dec: DecoderModel, anchors: AnchorSet, cfg: SolverConfig
+) -> _Point:
+    """Decode and observe once; every term and its cotangent reuse the observation."""
+    motion = dec.decode(soft.u)
     frames = motion.frames
     if cfg.smooth_weight > 0 and frames < 3:
         raise ValueError("smoothness term needs at least 3 frames")
     if cfg.feasibility_weight > 0 and frames < 2:
         raise ValueError("feasibility term needs at least 2 frames")
-
-    parts = {"anc": anchor_loss(motion, anchors), "sm": 0.0, "tr": 0.0, "feas": 0.0}
-
-    if cfg.smooth_weight > 0:
-        traj = observe(motion, anchors.family)
-        second = traj[2:] - 2.0 * traj[1:-1] + traj[:-2]
-        parts["sm"] = cfg.smooth_weight * float(np.sum(second * second)) / (frames - 2)
-
-    diff = soft.u - soft.u0
-    parts["tr"] = cfg.trust_weight * float(np.sum(diff * diff))
-
-    if cfg.feasibility_weight > 0:
-        root = motion.positions[:, 0, :]
-        speeds = np.linalg.norm(np.diff(root, axis=0), axis=1)
-        excess = np.maximum(speeds - cfg.max_speed, 0.0)
-        parts["feas"] = cfg.feasibility_weight * float(np.sum(excess * excess)) / (frames - 1)
-
-    return parts
-
-
-def _motion_cotangent(motion: Motion, anchors: AnchorSet, cfg: SolverConfig) -> np.ndarray:
-    """Gradient of the motion-space objective terms w.r.t. the positions."""
-    frames, joints = motion.frames, motion.joints
+    anchors.validate_for(motion)
     family = anchors.family
     obs = observe(motion, family)
 
+    idx = anchors.frames
+    residual = obs[idx] - anchors.targets
     g_obs = np.zeros_like(obs)
-    if len(anchors):
-        idx = anchors.frames
-        g_obs[idx] += 2.0 * (obs[idx] - anchors.targets)
+    g_obs[idx] += 2.0 * residual
+    parts = {"anc": float(np.sum(residual * residual)), "sm": 0.0, "tr": 0.0, "feas": 0.0}
 
     if cfg.smooth_weight > 0:
         second = obs[2:] - 2.0 * obs[1:-1] + obs[:-2]
-        scale = 2.0 * cfg.smooth_weight / (frames - 2)
+        parts["sm"] = cfg.smooth_weight * float(np.sum(second * second)) / (frames - 2)
         g_sm = np.zeros_like(obs)
         g_sm[:-2] += second
         g_sm[1:-1] -= 2.0 * second
         g_sm[2:] += second
-        g_obs += scale * g_sm
+        g_obs += 2.0 * cfg.smooth_weight / (frames - 2) * g_sm
 
-    cot = observation_adjoint(g_obs, family, joints)
+    diff = soft.u - soft.u0
+    parts["tr"] = cfg.trust_weight * float(np.sum(diff * diff))
 
+    cot = observation_adjoint(g_obs, family, motion.joints)
     if cfg.feasibility_weight > 0:
-        root = motion.positions[:, 0, :]
-        vel = np.diff(root, axis=0)
+        vel = np.diff(motion.positions[:, 0, :], axis=0)
         speeds = np.linalg.norm(vel, axis=1)
         excess = np.maximum(speeds - cfg.max_speed, 0.0)
+        parts["feas"] = cfg.feasibility_weight * float(np.sum(excess * excess)) / (frames - 1)
         active = excess > 0
         g_vel = np.zeros_like(vel)
         if np.any(active):
@@ -237,24 +240,8 @@ def _motion_cotangent(motion: Motion, anchors: AnchorSet, cfg: SolverConfig) -> 
         cot[1:, 0, :] += g_vel
         cot[:-1, 0, :] -= g_vel
 
-    return cot
-
-
-class _Point(NamedTuple):
-    """Soft tokens with their decoded motion, objective parts and objective."""
-
-    soft: SoftTokens
-    motion: Motion
-    parts: dict[str, float]
-    value: float
-
-
-def _evaluate(
-    soft: SoftTokens, dec: DecoderModel, anchors: AnchorSet, cfg: SolverConfig
-) -> _Point:
-    motion = dec.decode(soft.u)
-    parts = _objective_terms(motion, soft, anchors, cfg)
-    return _Point(soft, motion, parts, parts["anc"] + parts["sm"] + parts["tr"] + parts["feas"])
+    value = parts["anc"] + parts["sm"] + parts["tr"] + parts["feas"]
+    return _Point(soft, parts, value, cot, ResidualScaffold(anchors, residual))
 
 
 def objective(
@@ -269,26 +256,7 @@ def grad_objective(
     soft: SoftTokens, dec: DecoderModel, anchors: AnchorSet, cfg: SolverConfig
 ) -> np.ndarray:
     """Exact gradient of the objective with respect to the soft tokens."""
-    motion = dec.decode(soft.u)
-    return _grad_from_motion(motion, soft, dec, anchors, cfg)
-
-
-def _grad_from_motion(
-    motion: Motion,
-    soft: SoftTokens,
-    dec: DecoderModel,
-    anchors: AnchorSet,
-    cfg: SolverConfig,
-) -> np.ndarray:
-    if cfg.smooth_weight > 0 and motion.frames < 3:
-        raise ValueError("smoothness term needs at least 3 frames")
-    if cfg.feasibility_weight > 0 and motion.frames < 2:
-        raise ValueError("feasibility term needs at least 2 frames")
-    cot = _motion_cotangent(motion, anchors, cfg)
-    grad = dec.vjp(soft.u, cot) + 2.0 * cfg.trust_weight * (soft.u - soft.u0)
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError("non-finite gradient")
-    return grad
+    return _evaluate(soft, dec, anchors, cfg).gradient(dec, cfg)
 
 
 def opt_step(
@@ -336,24 +304,19 @@ def build_basis(intervals: IntervalPartition, length: int, ratio: int) -> BasisM
 
 
 def activities(
-    motion: Motion,
-    anchors: AnchorSet,
-    intervals: IntervalPartition,
-    tolerance: float,
+    scaffold: ResidualScaffold, intervals: IntervalPartition, tolerance: float
 ) -> ActivityVector:
-    """Per-interval budgets from the larger endpoint anchor error.
+    """Per-interval budgets from the larger endpoint anchor residual.
 
     An endpoint that is a sequence boundary rather than an anchor contributes
-    zero error. Errors are unsquared Euclidean distances in the control
-    space, scaled by the tolerance and clipped to [0, 1].
+    zero error. Errors are the unsquared Euclidean norms of the residuals in
+    the control space, scaled by the tolerance and clipped to [0, 1].
     """
     if not (tolerance > 0):
         raise ValueError("tolerance must be positive")
-    anchors.validate_for(motion)
-    obs = observe(motion, anchors.family)
     err_at = {
-        int(f): float(np.linalg.norm(obs[f] - y))
-        for f, y in zip(anchors.frames, anchors.targets)
+        int(f): float(np.linalg.norm(r))
+        for f, r in zip(scaffold.anchors.frames, scaffold.residuals)
     }
     vals = np.array(
         [
@@ -429,9 +392,10 @@ def refine(
 ) -> tuple[SoftTokens, list[RefineStep]]:
     """Run the routed refinement loop for ``cfg.steps`` iterations.
 
-    Per step: decode, refresh activities from the decoded motion, take the
-    objective gradient, form the raw optimizer update, route it through the
-    interval basis, and apply. The basis is built once; u0 is never touched.
+    Per step: decode and evaluate the objective, its gradient and the anchor
+    residuals in one pass, refresh the activities from those residuals, form
+    the raw optimizer update, route it through the interval basis, and
+    apply. The basis is built once; u0 is never touched.
 
     Gradient descent is guarded against a step size above the stability
     bound: when a step raised the objective above (1 + 1e-9) times the last
@@ -460,9 +424,8 @@ def refine(
         soft = point.soft
         if k == cfg.steps:
             break
-        act = activities(point.motion, anchors, intervals, anchors.family.tolerance)
-        grad = _grad_from_motion(point.motion, soft, dec, anchors, cfg)
-        raw = opt_step(soft, grad, step_cfg, state)
+        act = activities(point.residuals, intervals, anchors.family.tolerance)
+        raw = opt_step(soft, point.gradient(dec, cfg), step_cfg, state)
         routed, _ = route(raw, basis, act, cfg.ridge)
         soft = soft.moved_to(soft.u + routed)
         trace.append(

@@ -13,6 +13,7 @@ from anchorsynth.cli import (
     ConfigError,
     _write_json,
     build_world,
+    generate,
     load_config,
     main,
     parse_config,
@@ -22,7 +23,6 @@ from anchorsynth.cli import (
 )
 from anchorsynth.motion import observe
 from anchorsynth.refine import soft_init
-from anchorsynth.tokenflow import sample
 
 STANDARD = Path(__file__).resolve().parents[1] / "configs" / "standard.json"
 
@@ -194,6 +194,30 @@ def test_main_config_error_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, flags",
+    [
+        ({"tokens": {"codebook_size": 1}}, []),
+        ({"tokens": {"embed_dim": 19}}, []),
+        ({"tokens": {"separation": 5}}, []),
+        ({"task": {"joints": 1}}, []),  # the default embed_dim 16 exceeds 3 * joints
+        ({"tokens": {"length": 16.5}}, []),
+        ({"solver": {"steps": 2.5}}, []),
+        ({"denoiser": {"confusion": 1.5}}, []),
+        ({"seed": -1}, []),
+        ({}, ["--seed", "-1"]),
+        ({"anchors": {"frames": [0, 0]}}, []),
+    ],
+)
+def test_main_config_defect_exit_two(tmp_path, capsys, doc, flags):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["refine", "--config", str(config), "--out", str(out), *flags]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_main_unreadable_config_exit_two(tmp_path):
     assert main(["sample", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
 
@@ -251,15 +275,7 @@ def test_run_refine_from_the_optimum_exits_zero(tmp_path):
     doc = {"anchors": {"frames": [10, 40]}, "solver": {"smooth_weight": 0.0}}
     cfg = parse_config(doc)
     world = build_world(cfg)
-    tokens = sample(
-        world.denoiser,
-        cfg.tokens.length,
-        world.codebook,
-        cfg.schedule,
-        context=world.memory,
-        rng=world.sampler_rng,
-    )
-    initial = world.decoder.decode(soft_init(tokens, world.codebook).u)
+    initial = world.decoder.decode(soft_init(generate(world, cfg), world.codebook).u)
     doc["anchors"]["targets"] = observe(initial, cfg.family)[[10, 40]].tolist()
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(doc))

@@ -23,7 +23,7 @@ from anchorsynth.refine import (
     route,
     soft_init,
 )
-from anchorsynth.scaffold import Anchor, AnchorSet, build_intervals
+from anchorsynth.scaffold import Anchor, AnchorSet, build_intervals, residuals
 from anchorsynth.synthworld import LinearDecoder, make_codebook, make_decoder
 from anchorsynth.tokenflow import Codebook, TokenSeq
 
@@ -317,7 +317,7 @@ def test_activities_zero_when_anchors_satisfied():
     obs = observe(motion, family)
     anchors = anchors_for(family, [4, 12], obs[[4, 12]])
     intervals = build_intervals(anchors, 20)
-    act = activities(motion, anchors, intervals, 0.05)
+    act = activities(residuals(motion, anchors), intervals, 0.05)
     np.testing.assert_array_equal(act.values, np.zeros(3))
 
 
@@ -327,7 +327,7 @@ def test_activities_half_tolerance_endpoint():
     rho = 0.2
     anchors = anchors_for(family, [6, 14], [np.array([rho / 2, 0, 0]), np.zeros(3)])
     intervals = build_intervals(anchors, 20)
-    act = activities(motion, anchors, intervals, rho)
+    act = activities(residuals(motion, anchors), intervals, rho)
     # intervals: [0,6], [6,14], [14,19]; the frame-6 anchor misses by rho/2
     np.testing.assert_allclose(act.values, [0.5, 0.5, 0.0], atol=1e-12)
 
@@ -338,7 +338,7 @@ def test_activities_clip_at_one():
     rho = 0.1
     anchors = anchors_for(family, [5], [np.array([3 * rho, 0, 0])])
     intervals = build_intervals(anchors, 10)
-    act = activities(motion, anchors, intervals, rho)
+    act = activities(residuals(motion, anchors), intervals, rho)
     np.testing.assert_array_equal(act.values, [1.0, 1.0])
 
 
@@ -347,7 +347,7 @@ def test_activities_boundary_endpoints_contribute_zero():
     family = ControlFamily.root3d()
     anchors = anchors_for(family, [5], [np.array([10.0, 0, 0])])
     intervals = build_intervals(anchors, 10)
-    act = activities(motion, anchors, intervals, 0.5)
+    act = activities(residuals(motion, anchors), intervals, 0.5)
     # both intervals touch the violated frame-5 anchor
     np.testing.assert_array_equal(act.values, [1.0, 1.0])
 
@@ -630,8 +630,7 @@ def test_refine_trace_fields_monotone_objective_tail():
 
 def standard_refinement(solver_overrides, seed=0, kind="line", family=None):
     """Soft tokens, decoder, anchors and intervals of the standard config."""
-    from anchorsynth.cli import build_world, load_config
-    from anchorsynth.tokenflow import sample
+    from anchorsynth.cli import build_world, generate, load_config
 
     config = load_config(Path(__file__).resolve().parents[1] / "configs" / "standard.json")
     config = replace(
@@ -642,15 +641,7 @@ def standard_refinement(solver_overrides, seed=0, kind="line", family=None):
         solver=replace(config.solver, **solver_overrides),
     )
     world = build_world(config)
-    tokens = sample(
-        world.denoiser,
-        config.tokens.length,
-        world.codebook,
-        config.schedule,
-        context=world.memory,
-        rng=world.sampler_rng,
-    )
-    soft = soft_init(tokens, world.codebook)
+    soft = soft_init(generate(world, config), world.codebook)
     intervals = build_intervals(world.anchors, world.gt.frames)
     return soft, world.decoder, world.anchors, intervals, config
 
@@ -660,15 +651,27 @@ def unguarded_refine(soft, dec, anchors, intervals, cfg, ratio):
     basis = build_basis(intervals, soft.u.shape[0], ratio)
     state = OptState()
     for _ in range(cfg.steps):
-        act = activities(dec.decode(soft.u), anchors, intervals, anchors.family.tolerance)
+        act = activities(residuals(dec.decode(soft.u), anchors), intervals, anchors.family.tolerance)
         raw = opt_step(soft, grad_objective(soft, dec, anchors, cfg), cfg, state)
         routed, _ = route(raw, basis, act, cfg.ridge)
         soft = soft.moved_to(soft.u + routed)
     return soft
 
 
-def test_guard_leaves_stable_run_bitwise_unchanged():
-    soft, dec, anchors, intervals, config = standard_refinement({"steps": 200})
+@pytest.mark.parametrize(
+    "feasibility",
+    [{"feasibility_weight": 0.0}, {"feasibility_weight": 0.5, "max_speed": 0.05}],
+    ids=["no-feasibility", "feasibility"],
+)
+@pytest.mark.parametrize("optimizer", ["gd", "heavy_ball"])
+@pytest.mark.parametrize(
+    "family",
+    [ControlFamily.root3d(), ControlFamily.planar_root(), ControlFamily.body_point(3)],
+    ids=["root3d", "planar_root", "body_point"],
+)
+def test_guard_leaves_stable_run_bitwise_unchanged(family, optimizer, feasibility):
+    overrides = {"steps": 200, "optimizer": optimizer, **feasibility}
+    soft, dec, anchors, intervals, config = standard_refinement(overrides, family=family)
     ratio = config.tokens.frames_per_token
     guarded, _ = refine(soft, dec, anchors, intervals, config.solver, ratio)
     plain = unguarded_refine(soft, dec, anchors, intervals, config.solver, ratio)
