@@ -100,6 +100,13 @@ def _take(section: dict, where: str, allowed: dict) -> dict:
     return out
 
 
+def _integer(value, where: str) -> int:
+    """An integer config value: a float or a bool is a defect, never truncated."""
+    if type(value) is not int:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def _take_fields(section: dict, where: str, cls):
     """Strictly build dataclass ``cls`` from a section: its fields are the keys.
 
@@ -107,8 +114,8 @@ def _take_fields(section: dict, where: str, cls):
     """
     values = _take(section, where, {f.name: f.default for f in fields(cls)})
     for f in fields(cls):
-        if type(f.default) is int and type(values[f.name]) is not int:
-            raise ConfigError(f"{where}.{f.name} must be an integer, got {values[f.name]!r}")
+        if type(f.default) is int:
+            _integer(values[f.name], f"{where}.{f.name}")
     return cls(**values)
 
 
@@ -157,14 +164,14 @@ def parse_config(doc: dict) -> RunConfig:
         family = ControlFamily(
             fam_raw["variant"],
             float(fam_raw["tolerance"]),
-            int(joint) if joint is not None else None,
+            _integer(joint, "family.joint") if joint is not None else None,
         )
 
         anc_raw = _take(top["anchors"], "anchors", {"count": None, "frames": None, "targets": None})
         if anc_raw["frames"] is not None:
             if anc_raw["count"] is not None:
                 raise ConfigError("anchors: give either count or frames, not both")
-            frames = tuple(int(f) for f in anc_raw["frames"])
+            frames = tuple(_integer(f, "anchors.frames entry") for f in anc_raw["frames"])
             if len(set(frames)) != len(frames):
                 raise ConfigError("anchors.frames must be distinct")
             targets = anc_raw["targets"]
@@ -193,7 +200,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError("denoiser.confusion must lie in [0, 1)")
 
         return RunConfig(
-            seed=int(top["seed"]),
+            seed=_integer(top["seed"], "seed"),
             task=task,
             family=family,
             anchors=anchors,

@@ -134,12 +134,21 @@ def metric_distance(cb: Codebook, i: int, x1: int) -> float:
     return float(cb.distances[i, x1])
 
 
-def _corruption_matrix(cb: Codebook, t: float, sched: FlowSchedule) -> np.ndarray:
-    """All corruption rows at once: row c is q_t(. | c). Shape (V, V)."""
-    logits = -sched.beta(t) * cb.distances
+def _corruption_rows(cb: Codebook, t: float, sched: FlowSchedule, ids: np.ndarray) -> np.ndarray:
+    """Row n is q_t(. | ids[n]); shape (len(ids), V).
+
+    The softmax runs once per distinct id and is gathered back per position.
+    A presence mask over the codebook finds the distinct ids in sorted order
+    without ``np.unique``, whose sort code adds ~0.6 MB to resident memory
+    the first time it runs (numpy 2.4, x86-64).
+    """
+    present = np.zeros(cb.size, dtype=bool)
+    present[ids] = True
+    logits = -sched.beta(t) * cb.distances[present]
     logits -= logits.max(axis=1, keepdims=True)
     num = np.exp(logits)
-    return num / num.sum(axis=1, keepdims=True)
+    # the row of id c is the number of distinct ids below c
+    return (num / num.sum(axis=1, keepdims=True))[np.cumsum(present)[ids] - 1]
 
 
 def corruption_dist(cb: Codebook, x1: int, t: float, sched: FlowSchedule) -> np.ndarray:
@@ -166,7 +175,7 @@ def corrupt(
         raise ValueError(f"t must lie in [0, t_max], got {t}")
     if np.any(clean.ids >= cb.size):
         raise ValueError("token id out of range for codebook")
-    probs = _corruption_matrix(cb, t, sched)[clean.ids]
+    probs = _corruption_rows(cb, t, sched, clean.ids)
     ids = _kernels.weighted_pick(probs, rng.random(len(clean)))
     return TokenSeq(ids)
 
@@ -238,14 +247,24 @@ def _step_ids(
     sched: FlowSchedule,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    corruption = _corruption_matrix(cb, t, sched)[proposal]
-    rates, totals = _kernels.rate_rows(ids, proposal, cb.distances, corruption)
-    # two uniforms per position, consumed as an (L, 2) block: column 0 decides
-    # whether to move, column 1 picks the destination
+    """Jump-chain update computed on live rows only.
+
+    A position at its proposal has rate zero and never moves, so only live
+    positions (``ids != proposal``) get rate rows, and only those that move
+    get a destination draw. The (L, 2) uniform block is still drawn in full
+    (column 0 decides whether to move, column 1 picks the destination), so
+    the stream order matches an update of every position.
+    """
     u = rng.random((ids.shape[0], 2))
+    live = np.flatnonzero(ids != proposal)
+    target = proposal[live]
+    corruption = _corruption_rows(cb, t, sched, target)
+    rates, totals = _kernels.rate_rows(ids[live], target, cb.distances, corruption)
     p_move = -np.expm1(-h * sched.beta_prime(t) * totals)
-    dest = _kernels.weighted_pick(rates, u[:, 1])
-    return np.where((totals > 0.0) & (u[:, 0] < p_move), dest, ids)
+    moves = (totals > 0.0) & (u[live, 0] < p_move)
+    out = ids.copy()
+    out[live[moves]] = _kernels.weighted_pick(rates[moves], u[live[moves], 1])
+    return out
 
 
 def step(
@@ -261,7 +280,8 @@ def step(
 
     Each position moves with probability 1 - exp(-h * total_rate); on a move
     the destination is drawn from the normalized rates. Positions whose total
-    rate is zero (already at the proposal) never move.
+    rate is zero (already at the proposal) never move. Only live positions
+    are computed; the stream order is unchanged (one (L, 2) uniform block).
     """
     if h <= 0:
         raise ValueError("step size must be positive")

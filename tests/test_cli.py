@@ -207,6 +207,12 @@ def test_main_config_error_exit_two(tmp_path, capsys):
         ({"seed": -1}, []),
         ({}, ["--seed", "-1"]),
         ({"anchors": {"frames": [0, 0]}}, []),
+        ({"seed": 2.5}, []),
+        ({"seed": True}, []),
+        ({"anchors": {"frames": [10.7, 40]}}, []),
+        ({"anchors": {"frames": [False, 40]}}, []),
+        ({"family": {"variant": "body_point", "joint": 2.9}}, []),
+        ({"family": {"variant": "body_point", "joint": True}}, []),
     ],
 )
 def test_main_config_defect_exit_two(tmp_path, capsys, doc, flags):

@@ -44,3 +44,6 @@ def test_traced_request_reports_every_per_layer_metric(name):
     metrics, absent = spans.layer_metrics(tracer, [{**record, "index": 0}], 0.0)
     assert absent == []
     assert set(metrics) == PER_LAYER
+    # the sampler calls each kernel through ``_kernels`` once per step
+    for kernel in ("rate_rows", "weighted_pick"):
+        assert metrics[f"kernels.{kernel}.calls"] == (config.schedule.steps, "count")
