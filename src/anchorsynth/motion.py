@@ -39,7 +39,7 @@ class Motion:
             raise ValueError("motion needs at least 2 frames")
         if pos.shape[1] < 1:
             raise ValueError("motion needs at least 1 joint")
-        if not np.all(np.isfinite(pos)):
+        if not np.isfinite(pos).all():
             raise ValueError("motion positions must be finite")
         object.__setattr__(self, "positions", pos)
 

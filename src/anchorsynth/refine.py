@@ -16,6 +16,7 @@ decoder parameters never change.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Protocol
@@ -45,7 +46,7 @@ class SoftTokens:
         u0 = np.asarray(self.u0, dtype=np.float64).copy()
         if u.ndim != 2 or u.shape != u0.shape:
             raise ValueError("u and u0 must be matching (L, d_u) arrays")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(u0))):
+        if not (np.isfinite(u).all() and np.isfinite(u0).all()):
             raise ValueError("soft tokens must be finite")
         u0.setflags(write=False)
         object.__setattr__(self, "u", u)
@@ -153,13 +154,14 @@ class ActivityVector:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1:
             raise ValueError("activities must be a vector")
-        if np.any((vals < 0) | (vals > 1)):
+        if ((vals < 0) | (vals > 1)).any():
             raise ValueError("activities must lie in [0, 1]")
         object.__setattr__(self, "values", vals)
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.values)) if self.values.size else 0.0
+        values = self.values
+        return float(values.sum() / values.size) if values.size else 0.0
 
 
 def soft_init(tokens: TokenSeq, cb: Codebook) -> SoftTokens:
@@ -184,7 +186,7 @@ class _Point(NamedTuple):
         """Exact gradient of the objective with respect to the soft tokens."""
         u, u0 = self.soft.u, self.soft.u0
         grad = dec.vjp(u, self.cotangent) + 2.0 * cfg.trust_weight * (u - u0)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise FloatingPointError("non-finite gradient")
         return grad
 
@@ -205,31 +207,31 @@ def _evaluate(
 
     idx = anchors.frames
     residual = obs[idx] - anchors.targets
-    g_obs = np.zeros_like(obs)
+    g_obs = np.zeros(obs.shape)
     g_obs[idx] += 2.0 * residual
-    parts = {"anc": float(np.sum(residual * residual)), "sm": 0.0, "tr": 0.0, "feas": 0.0}
+    parts = {"anc": float((residual * residual).sum()), "sm": 0.0, "tr": 0.0, "feas": 0.0}
 
     if cfg.smooth_weight > 0:
         second = obs[2:] - 2.0 * obs[1:-1] + obs[:-2]
-        parts["sm"] = cfg.smooth_weight * float(np.sum(second * second)) / (frames - 2)
-        g_sm = np.zeros_like(obs)
+        parts["sm"] = cfg.smooth_weight * float((second * second).sum()) / (frames - 2)
+        g_sm = np.zeros(obs.shape)
         g_sm[:-2] += second
         g_sm[1:-1] -= 2.0 * second
         g_sm[2:] += second
         g_obs += 2.0 * cfg.smooth_weight / (frames - 2) * g_sm
 
     diff = soft.u - soft.u0
-    parts["tr"] = cfg.trust_weight * float(np.sum(diff * diff))
+    parts["tr"] = cfg.trust_weight * float((diff * diff).sum())
 
     cot = observation_adjoint(g_obs, family, motion.joints)
     if cfg.feasibility_weight > 0:
         vel = np.diff(motion.positions[:, 0, :], axis=0)
         speeds = np.linalg.norm(vel, axis=1)
         excess = np.maximum(speeds - cfg.max_speed, 0.0)
-        parts["feas"] = cfg.feasibility_weight * float(np.sum(excess * excess)) / (frames - 1)
+        parts["feas"] = cfg.feasibility_weight * float((excess * excess).sum()) / (frames - 1)
         active = excess > 0
-        g_vel = np.zeros_like(vel)
-        if np.any(active):
+        g_vel = np.zeros(vel.shape)
+        if active.any():
             g_vel[active] = (
                 2.0
                 * cfg.feasibility_weight
@@ -287,19 +289,16 @@ def build_basis(intervals: IntervalPartition, length: int, ratio: int) -> BasisM
         raise ValueError("length and ratio must be positive")
     if intervals.end > length * ratio - 1:
         raise ValueError("token grid does not cover the interval partition")
-    spans = intervals.intervals
+    lo, hi = np.array(intervals.intervals, dtype=np.float64).T
+    width = hi - lo  # positive: a partition rejects empty intervals
     centers = np.arange(length) * ratio + (ratio - 1) / 2.0
-    starts = np.array([s for s, _ in spans], dtype=np.float64)
 
-    assign = np.clip(np.searchsorted(starts, centers, side="right") - 1, 0, len(spans) - 1)
-    matrix = np.zeros((length, 2 * len(spans)))
-    for n in range(length):
-        i = int(assign[n])
-        lo, hi = spans[i]
-        width = hi - lo
-        s = 0.5 if width == 0 else min(max((centers[n] - lo) / width, 0.0), 1.0)
-        matrix[n, 2 * i] = 1.0
-        matrix[n, 2 * i + 1] = 2.0 * s - 1.0
+    assign = np.clip(np.searchsorted(lo, centers, side="right") - 1, 0, len(width) - 1)
+    s = np.clip((centers - lo[assign]) / width[assign], 0.0, 1.0)
+    rows = np.arange(length)
+    matrix = np.zeros((length, 2 * len(width)))
+    matrix[rows, 2 * assign] = 1.0
+    matrix[rows, 2 * assign + 1] = 2.0 * s - 1.0
     return BasisMatrix(matrix, assign.astype(np.int64))
 
 
@@ -314,17 +313,17 @@ def activities(
     """
     if not (tolerance > 0):
         raise ValueError("tolerance must be positive")
-    err_at = {
-        int(f): float(np.linalg.norm(r))
-        for f, r in zip(scaffold.anchors.frames, scaffold.residuals)
-    }
+    # math.sqrt of one dot per row is np.linalg.norm's own arithmetic, bit
+    # for bit; a norm over all rows at once rounds some rows differently
+    frames = scaffold.anchors.frames.tolist()
+    err_at = {f: math.sqrt(r.dot(r)) for f, r in zip(frames, scaffold.residuals)}
     vals = np.array(
         [
             max(err_at.get(lo, 0.0), err_at.get(hi, 0.0))
             for lo, hi in intervals.intervals
         ]
     )
-    return ActivityVector(np.clip(vals / tolerance, 0.0, 1.0))
+    return ActivityVector((vals / tolerance).clip(0.0, 1.0))
 
 
 def route(
@@ -358,7 +357,7 @@ def route(
     det = p * r - q * q
     trace = p + r
     regular = det > _BLOCK_RCOND * trace * trace
-    if ridge == 0 and not np.all(regular):
+    if ridge == 0 and not regular.all():
         raise np.linalg.LinAlgError(
             "routed solve with ridge = 0 requires a full-column-rank basis"
         )
@@ -428,13 +427,14 @@ def refine(
         raw = opt_step(soft, point.gradient(dec, cfg), step_cfg, state)
         routed, _ = route(raw, basis, act, cfg.ridge)
         soft = soft.moved_to(soft.u + routed)
+        flat = routed.ravel()
         trace.append(
             RefineStep(
                 step=k,
                 objective=point.value,
                 anchor_loss=point.parts["anc"],
                 mean_activity=act.mean,
-                update_norm=float(np.linalg.norm(routed)),
+                update_norm=math.sqrt(flat.dot(flat)),
             )
         )
     return soft, trace

@@ -12,6 +12,7 @@ All functions are pure; values are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,11 +33,13 @@ class Anchor:
     selector: int | None = None
 
     def __post_init__(self):
-        tgt = np.atleast_1d(np.asarray(self.target, dtype=np.float64))
+        # a read-only copy: the anchor never moves with the caller's array
+        tgt = np.array(self.target, dtype=np.float64, ndmin=1)
         if tgt.ndim != 1:
             raise ValueError("anchor target must be a flat vector")
-        if not np.all(np.isfinite(tgt)):
+        if not np.isfinite(tgt).all():
             raise ValueError("anchor target must be finite")
+        tgt.setflags(write=False)
         object.__setattr__(self, "frame", int(self.frame))
         object.__setattr__(self, "target", tgt)
 
@@ -74,15 +77,22 @@ class AnchorSet:
     def __len__(self) -> int:
         return len(self.anchors)
 
-    @property
+    @cached_property
     def frames(self) -> np.ndarray:
-        return np.array([a.frame for a in self.anchors], dtype=np.int64)
+        """Anchor frames, built on first use; read-only, as the anchors are."""
+        frames = np.array([a.frame for a in self.anchors], dtype=np.int64)
+        frames.setflags(write=False)
+        return frames
 
-    @property
+    @cached_property
     def targets(self) -> np.ndarray:
-        if not self.anchors:
-            return np.zeros((0, self.family.control_dim))
-        return np.stack([a.target for a in self.anchors])
+        """(K, d_f) anchor targets, built on first use; read-only."""
+        if self.anchors:
+            targets = np.stack([a.target for a in self.anchors])
+        else:
+            targets = np.zeros((0, self.family.control_dim))
+        targets.setflags(write=False)
+        return targets
 
     def validate_for(self, motion: Motion) -> None:
         self.family.validate_for(motion)
@@ -165,7 +175,7 @@ class ResidualScaffold:
         res = np.asarray(self.residuals, dtype=np.float64)
         if res.shape != (len(self.anchors), self.anchors.family.control_dim):
             raise ValueError("one residual per anchor required")
-        if not np.all(np.isfinite(res)):
+        if not np.isfinite(res).all():
             raise ValueError("residuals must be finite")
         object.__setattr__(self, "residuals", res)
 

@@ -47,3 +47,12 @@ def test_traced_request_reports_every_per_layer_metric(name):
     # the sampler calls each kernel through ``_kernels`` once per step
     for kernel in ("rate_rows", "weighted_pick"):
         assert metrics[f"kernels.{kernel}.calls"] == (config.schedule.steps, "count")
+    # refine calls its step functions through ``refine``'s globals: one
+    # activities, route and vjp per step, and one decode per evaluated point
+    # (steps + 1) plus the decodes before and after refinement
+    steps = config.solver.steps
+    for layer in ("refine.activities", "refine.route", "synthworld.vjp"):
+        assert metrics[f"{layer}.calls"] == (steps, "count")
+    assert metrics["synthworld.decode.calls"] == (steps + 3, "count")
+    assert "refine.build_basis" in recorded
+    assert ("refine.opt_step" in recorded) == (steps > 0)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchorsynth.motion import ControlFamily, Motion, observe
@@ -23,7 +23,14 @@ from anchorsynth.refine import (
     route,
     soft_init,
 )
-from anchorsynth.scaffold import Anchor, AnchorSet, build_intervals, residuals
+from anchorsynth.scaffold import (
+    Anchor,
+    AnchorSet,
+    IntervalPartition,
+    ResidualScaffold,
+    build_intervals,
+    residuals,
+)
 from anchorsynth.synthworld import LinearDecoder, make_codebook, make_decoder
 from anchorsynth.tokenflow import Codebook, TokenSeq
 
@@ -307,6 +314,44 @@ def test_basis_rejects_uncovered_partition():
         build_basis(intervals, 4, 4)
 
 
+def reference_basis(intervals, length, ratio):
+    """Token-by-token assembly of the blockwise basis, as a plain loop."""
+    spans = intervals.intervals
+    centers = np.arange(length) * ratio + (ratio - 1) / 2.0
+    starts = np.array([s for s, _ in spans], dtype=np.float64)
+    assign = np.clip(np.searchsorted(starts, centers, side="right") - 1, 0, len(spans) - 1)
+    matrix = np.zeros((length, 2 * len(spans)))
+    for n in range(length):
+        i = int(assign[n])
+        lo, hi = spans[i]
+        s = min(max((centers[n] - lo) / (hi - lo), 0.0), 1.0)
+        matrix[n, 2 * i] = 1.0
+        matrix[n, 2 * i + 1] = 2.0 * s - 1.0
+    return matrix, assign
+
+
+def test_basis_matches_loop_reference_bitwise():
+    rng = np.random.default_rng(28)
+    cases = [
+        # a partition that starts after frame 0, and width-1 intervals
+        (IntervalPartition(((5, 20), (20, 31))), 8, 4),
+        (IntervalPartition(((0, 1), (1, 2), (2, 9))), 10, 1),
+    ]
+    for _ in range(200):
+        ratio = int(rng.integers(1, 6))
+        length = int(rng.integers(2, 40))
+        frames = int(rng.integers(2, length * ratio + 1))  # padded grids included
+        k = int(rng.integers(0, frames - 1))
+        points = np.sort(rng.choice(np.arange(1, frames - 1), size=min(k, frames - 2), replace=False))
+        cases.append((IntervalPartition(tuple(zip([0, *points], [*points, frames - 1]))), length, ratio))
+    for intervals, length, ratio in cases:
+        basis = build_basis(intervals, length, ratio)
+        matrix, assign = reference_basis(intervals, length, ratio)
+        assert basis.matrix.tobytes() == matrix.tobytes()
+        np.testing.assert_array_equal(basis.token_interval, assign)
+        assert basis.token_interval.dtype == np.int64
+
+
 # ------------------------------------------------------------------ activities
 
 
@@ -350,6 +395,43 @@ def test_activities_boundary_endpoints_contribute_zero():
     act = activities(residuals(motion, anchors), intervals, 0.5)
     # both intervals touch the violated frame-5 anchor
     np.testing.assert_array_equal(act.values, [1.0, 1.0])
+
+
+def reference_activities(scaffold, intervals, tolerance):
+    """Endpoint errors through a frame dict and one ``np.linalg.norm`` per anchor."""
+    err_at = {
+        int(f): float(np.linalg.norm(r))
+        for f, r in zip(scaffold.anchors.frames, scaffold.residuals)
+    }
+    vals = np.array(
+        [max(err_at.get(lo, 0.0), err_at.get(hi, 0.0)) for lo, hi in intervals.intervals]
+    )
+    return np.clip(vals / tolerance, 0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from([ControlFamily.root3d(), ControlFamily.planar_root()]),
+    n_anchors=st.integers(0, 12),
+    n_cuts=st.integers(0, 12),
+    scale=st.floats(1e-6, 1e3),
+    tolerance=st.floats(1e-4, 10.0),
+)
+@example(seed=0, family=ControlFamily.planar_root(), n_anchors=0, n_cuts=3, scale=1.0, tolerance=0.05)
+def test_activities_match_norm_reference_bitwise(seed, family, n_anchors, n_cuts, scale, tolerance):
+    # the partition's endpoints and the anchor frames are drawn apart, so some
+    # endpoints are not anchors and some anchors are not endpoints
+    rng = np.random.default_rng(seed)
+    frames = 40
+    anchor_frames = rng.choice(frames, size=n_anchors, replace=False)
+    cuts = np.sort(rng.choice(np.arange(1, frames - 1), size=n_cuts, replace=False))
+    intervals = IntervalPartition(tuple(zip([0, *cuts], [*cuts, frames - 1])))
+    dim = family.control_dim
+    anchors = anchors_for(family, anchor_frames, [np.zeros(dim)] * n_anchors)
+    scaffold = ResidualScaffold(anchors, scale * rng.normal(size=(n_anchors, dim)))
+    act = activities(scaffold, intervals, tolerance)
+    assert act.values.tobytes() == reference_activities(scaffold, intervals, tolerance).tobytes()
 
 
 # ----------------------------------------------------------------------- route
@@ -497,6 +579,24 @@ def test_route_ridge_zero_full_rank_projects():
     b = basis.matrix
     expect = b @ np.linalg.lstsq(b, delta, rcond=None)[0]
     np.testing.assert_allclose(routed, expect, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    activity=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+    ridge=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+)
+def test_routed_map_is_symmetric_between_zero_and_identity(seed, activity, ridge):
+    # route acts on each column of the update alone, so routing the identity
+    # gives the matrix P of the map; 0 <= P <= I
+    basis, _ = random_basis(np.random.default_rng(seed))
+    length = basis.matrix.shape[0]
+    act = ActivityVector(np.array(activity[: basis.num_intervals]))
+    p, _ = route(np.eye(length), basis, act, ridge)
+    np.testing.assert_allclose(p, p.T, rtol=0, atol=1e-12)
+    eig = np.linalg.eigvalsh((p + p.T) / 2)
+    assert eig.min() >= -1e-12 and eig.max() <= 1 + 1e-12
 
 
 def dense_min_norm_oracle(basis, delta, act, lam):

@@ -70,6 +70,30 @@ def test_observation_adjoint_is_observe_transpose():
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+# ------------------------------------------------------------------ anchors
+
+
+def test_anchor_target_is_a_read_only_copy():
+    target = np.array([1.0, 2.0, 3.0])
+    anchor = Anchor(3, target)
+    anchors = AnchorSet(ControlFamily.root3d(), (anchor,))
+    frames, targets = anchors.frames, anchors.targets
+    target[0] = 99.0
+    np.testing.assert_array_equal(anchor.target, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(anchors.targets, [[1.0, 2.0, 3.0]])
+    # built once per set
+    assert anchors.frames is frames and anchors.targets is targets
+    for array in (anchor.target, frames, targets):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_empty_anchor_set_arrays_are_read_only():
+    anchors = AnchorSet(ControlFamily.planar_root())
+    assert anchors.frames.shape == (0,) and anchors.targets.shape == (0, 2)
+    assert not anchors.frames.flags.writeable and not anchors.targets.flags.writeable
+
+
 # ------------------------------------------------------------ anchor_loss
 
 
