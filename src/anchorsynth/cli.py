@@ -35,7 +35,7 @@ from .attention import encode_memory
 from .containers import save_anchors, save_motion
 from .motion import ControlFamily, Motion, observe
 from .refine import GUARD_SLACK, RefineStep, SolverConfig, objective, refine, soft_init
-from .scaffold import Anchor, AnchorSet, build_features, build_intervals, residuals
+from .scaffold import Anchor, AnchorSet, build_features, build_intervals
 from .synthworld import (
     OracleDenoiser,
     SynthTask,
@@ -49,6 +49,9 @@ from .tokenflow import FlowSchedule, SampleStep, TokenSeq, sample
 
 PRESETS = {"rs0": 0, "rs100": 100, "rs200": 200, "rs500": 500}
 SAMPLED_ANCHOR_COUNTS = (2, 4, 8, 16, 32)
+# Width of the condition memory. No denoiser reads the memory, so the width
+# changes no artifact; it is fixed so that the memory RNG draws stay the same.
+MEMORY_DIM = 16
 
 
 class ConfigError(ValueError):
@@ -66,7 +69,6 @@ class TokenConfig:
     codebook_size: int = 32
     embed_dim: int = 16
     separation: float = 0.3
-    memory_dim: int = 16
 
 
 @dataclass(frozen=True)
@@ -107,16 +109,37 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def _take_fields(section: dict, where: str, cls):
-    """Strictly build dataclass ``cls`` from a section: its fields are the keys.
+def _typed(value, default, where: str):
+    """A config value of its default's type: the one rule for typed keys.
 
-    A field whose default is an integer takes only an integer.
+    An int default takes only an int; a float default a finite int or float,
+    never a bool, stored as a float; a str default only a str; a tuple default
+    a list or tuple of its length, each entry under this rule. A None default
+    leaves the value to its caller's check.
     """
-    values = _take(section, where, {f.name: f.default for f in fields(cls)})
-    for f in fields(cls):
-        if type(f.default) is int:
-            _integer(values[f.name], f"{where}.{f.name}")
-    return cls(**values)
+    if type(default) is int:
+        return _integer(value, where)
+    if type(default) is float:
+        # NaN fails the comparison; Infinity and ints beyond float range exceed the max
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    if type(default) is tuple:
+        if isinstance(value, (list, tuple)) and len(value) == len(default):
+            return tuple(_typed(v, default[i], f"{where}[{i}]") for i, v in enumerate(value))
+        raise ConfigError(f"{where} must be a list of {len(default)} values, got {value!r}")
+    if type(default) is str and type(value) is not str:
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _take_fields(section: dict, where: str, cls, exclude: tuple[str, ...] = (), **defaults):
+    """Strictly build dataclass ``cls`` from a section whose keys are its fields
+    less ``exclude``. Each value must have the type of its default (``_typed``);
+    ``defaults`` supplies a default the dataclass leaves out."""
+    keys = {f.name: defaults.get(f.name, f.default) for f in fields(cls) if f.name not in exclude}
+    values = _take(section, where, keys)
+    return cls(**{name: _typed(values[name], keys[name], f"{where}.{name}") for name in keys})
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -138,34 +161,11 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
     try:
-        task_raw = _take(
-            top["task"],
-            "task",
-            {
-                "kind": "line",
-                "frames": 64,
-                "joints": 6,
-                "noise": 0.0,
-                "velocity": [0.1, 0.0, 0.0],
-                "radius": 1.0,
-                "amplitude": 0.3,
-                "period": 32.0,
-            },
-        )
-        velocity = tuple(float(v) for v in task_raw.pop("velocity"))
-        if len(velocity) != 3:
-            raise ConfigError("task.velocity must have 3 components")
-        task = SynthTask(velocity=velocity, seed=0, **task_raw)
-
-        fam_raw = _take(
-            top["family"], "family", {"variant": "root3d", "joint": None, "tolerance": 0.05}
-        )
-        joint = fam_raw["joint"]
-        family = ControlFamily(
-            fam_raw["variant"],
-            float(fam_raw["tolerance"]),
-            _integer(joint, "family.joint") if joint is not None else None,
-        )
+        # build_world derives the task seed from the master seed
+        task = _take_fields(top["task"], "task", SynthTask, exclude=("seed",))
+        family = _take_fields(top["family"], "family", ControlFamily, variant="root3d")
+        if family.joint is not None:
+            _integer(family.joint, "family.joint")
 
         anc_raw = _take(top["anchors"], "anchors", {"count": None, "frames": None, "targets": None})
         if anc_raw["frames"] is not None:
@@ -176,17 +176,20 @@ def parse_config(doc: dict) -> RunConfig:
                 raise ConfigError("anchors.frames must be distinct")
             targets = anc_raw["targets"]
             if targets is not None:
-                targets = tuple(tuple(float(x) for x in row) for row in targets)
+                row = (0.0,) * family.control_dim
+                targets = tuple(
+                    _typed(t, row, f"anchors.targets[{i}]") for i, t in enumerate(targets)
+                )
                 if len(targets) != len(frames):
                     raise ConfigError("anchors: one target per frame required")
             anchors = AnchorSpec(count=None, frames=frames, targets=targets)
         else:
-            count = anc_raw["count"] if anc_raw["count"] is not None else 4
+            count = 4 if anc_raw["count"] is None else _integer(anc_raw["count"], "anchors.count")
             if count not in SAMPLED_ANCHOR_COUNTS:
                 raise ConfigError(
                     f"anchors.count must be one of {list(SAMPLED_ANCHOR_COUNTS)}"
                 )
-            anchors = AnchorSpec(count=int(count))
+            anchors = AnchorSpec(count=count)
 
         tokens = _take_fields(top["tokens"], "tokens", TokenConfig)
         schedule = _take_fields(top["schedule"], "schedule", FlowSchedule)
@@ -195,7 +198,7 @@ def parse_config(doc: dict) -> RunConfig:
         den_raw = _take(top["denoiser"], "denoiser", {"kind": "oracle", "confusion": 0.0})
         if den_raw["kind"] != "oracle":
             raise ConfigError("denoiser.kind must be 'oracle'")
-        confusion = float(den_raw["confusion"])
+        confusion = _typed(den_raw["confusion"], 0.0, "denoiser.confusion")
         if not (0.0 <= confusion < 1.0):
             raise ConfigError("denoiser.confusion must lie in [0, 1)")
 
@@ -230,7 +233,6 @@ class World:
     gt: Motion
     anchors: AnchorSet
     codebook: object
-    encoder: np.ndarray
     decoder: object
     clean: object
     memory: object
@@ -284,7 +286,7 @@ def build_world(config: RunConfig) -> World:
 
     features = build_features(anchors, gt.frames)
     memory_rng = np.random.default_rng(memory_seed)
-    w_in = memory_rng.normal(size=(features.values.shape[1], tok.memory_dim))
+    w_in = memory_rng.normal(size=(features.values.shape[1], MEMORY_DIM))
     w_in /= np.sqrt(features.values.shape[1])
     memory = encode_memory(features, tok.frames_per_token, w_in)
 
@@ -294,7 +296,6 @@ def build_world(config: RunConfig) -> World:
         gt=gt,
         anchors=anchors,
         codebook=codebook,
-        encoder=encoder,
         decoder=decoder,
         clean=clean,
         memory=memory,
@@ -377,7 +378,6 @@ def run_refine(config: RunConfig, out_dir: str | Path) -> dict:
     soft = soft_init(tokens, world.codebook)
     initial = world.decoder.decode(soft.u)
     error_before = control_error(initial, world.anchors)
-    residual_scaffold = residuals(initial, world.anchors)
 
     intervals = build_intervals(world.anchors, world.gt.frames)
     started = time.perf_counter()
@@ -385,7 +385,7 @@ def run_refine(config: RunConfig, out_dir: str | Path) -> dict:
         soft, world.decoder, world.anchors, intervals, config.solver, config.tokens.frames_per_token
     )
     elapsed = time.perf_counter() - started
-    value_before, _ = objective(soft, world.decoder, world.anchors, config.solver)
+    value_before, parts_before = objective(soft, world.decoder, world.anchors, config.solver)
     value_after, _ = objective(refined_soft, world.decoder, world.anchors, config.solver)
     if not value_after <= GUARD_SLACK * value_before:
         raise RefinementDiverged(
@@ -397,7 +397,7 @@ def run_refine(config: RunConfig, out_dir: str | Path) -> dict:
     summary = {
         "control_error_before": error_before,
         "control_error_after": error_after,
-        "anchor_loss_before": float(np.sum(residual_scaffold.residuals**2)),
+        "anchor_loss_before": parts_before["anc"],
         "steps": config.solver.steps,
         "num_anchors": len(world.anchors),
         "token_match": float(np.mean(tokens.ids == world.clean.ids)),
@@ -457,12 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=Path, default=None, help="JSON run config")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--out", type=Path, required=True, help="output directory")
-        cmd.add_argument(
-            "--preset",
-            choices=sorted(PRESETS),
-            default=None,
-            help="refinement step preset (sets solver.steps)",
-        )
+        if name != "sample":  # sampling runs no refinement steps
+            cmd.add_argument(
+                "--preset", choices=sorted(PRESETS), help="refinement step preset (sets solver.steps)"
+            )
     return parser
 
 
@@ -472,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config) if args.config else parse_config({})
         if args.seed is not None:
             config = replace(config, seed=args.seed)
-        if args.preset is not None and args.command != "bench":
+        if args.command == "refine" and args.preset is not None:
             config = replace(config, solver=replace(config.solver, steps=PRESETS[args.preset]))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

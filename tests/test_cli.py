@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,10 @@ import pytest
 
 from anchorsynth import cli
 from anchorsynth.cli import (
+    MEMORY_DIM,
+    AnchorSpec,
     ConfigError,
+    TokenConfig,
     _write_json,
     build_world,
     generate,
@@ -21,8 +25,10 @@ from anchorsynth.cli import (
     run_refine,
     run_sample,
 )
-from anchorsynth.motion import observe
-from anchorsynth.refine import soft_init
+from anchorsynth.motion import ControlFamily, observe
+from anchorsynth.refine import SolverConfig, soft_init
+from anchorsynth.synthworld import SynthTask
+from anchorsynth.tokenflow import FlowSchedule
 
 STANDARD = Path(__file__).resolve().parents[1] / "configs" / "standard.json"
 
@@ -75,6 +81,53 @@ def test_parse_rejects_bad_solver_value():
         parse_config({"solver": {"step_size": -1.0}})
 
 
+SECTIONS = {
+    "task": SynthTask,
+    "family": ControlFamily,
+    "anchors": AnchorSpec,
+    "tokens": TokenConfig,
+    "schedule": FlowSchedule,
+    "solver": SolverConfig,
+}
+READER_DEFAULTS = {"variant": "root3d"}  # the one default the dataclasses leave out
+
+
+def _wrong_type_values(default):
+    """JSON values whose type differs from that of a key with this default."""
+    kind = type(default)
+    if kind is int:
+        return ["1", True, 1.5]
+    if kind is float:
+        return ["1", True, float("nan"), float("inf")]
+    if kind is str:
+        return [1, 0.5]
+    if kind is tuple:
+        return ["x", [*default, 0.0], [str(v) for v in default], [True, *default[1:]]]
+    return []
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (section, f.name, value)
+        for section, cls in SECTIONS.items()
+        for f in fields(cls)
+        for value in _wrong_type_values(READER_DEFAULTS.get(f.name, f.default))
+    ],
+)
+def test_parse_rejects_value_of_the_wrong_type(section, key, value):
+    # the message names the key; task.seed is not a key, as build_world derives it
+    named = rf"{section}\.{key}|unknown keys in {section}: \['{key}'\]"
+    with pytest.raises(ConfigError, match=named):
+        parse_config({section: {key: value}})
+
+
+def test_parse_stores_an_integer_for_a_float_key_as_a_float():
+    cfg = parse_config({"solver": {"step_size": 1}, "task": {"velocity": [0, 1, 0]}})
+    assert type(cfg.solver.step_size) is float
+    assert [type(v) for v in cfg.task.velocity] == [float, float, float]
+
+
 def test_standard_config_file_parses():
     cfg = load_config(STANDARD)
     assert cfg.tokens.codebook_size == 32
@@ -110,7 +163,7 @@ def test_world_rejects_anchor_frame_outside_motion():
 def test_world_memory_is_token_aligned():
     cfg = parse_config({})
     world = build_world(cfg)
-    assert world.memory.values.shape == (cfg.tokens.length, cfg.tokens.memory_dim)
+    assert world.memory.values.shape == (cfg.tokens.length, MEMORY_DIM)
 
 
 # ------------------------------------------------------------------- commands
@@ -213,6 +266,19 @@ def test_main_config_error_exit_two(tmp_path, capsys):
         ({"anchors": {"frames": [False, 40]}}, []),
         ({"family": {"variant": "body_point", "joint": 2.9}}, []),
         ({"family": {"variant": "body_point", "joint": True}}, []),
+        ({"task": {"frames": 60.5}}, []),
+        ({"task": {"joints": 6.5}}, []),
+        ({"solver": {"step_size": float("nan")}}, []),
+        ({"tokens": {"separation": "0.3"}}, []),
+        ({"task": {"kind": "circle", "period": "x"}}, []),
+        ({"task": {"noise": float("nan")}}, []),
+        ({"family": {"tolerance": "0.1"}}, []),
+        ({"family": {"tolerance": float("inf")}}, []),
+        ({"schedule": {"scale": float("inf")}}, []),
+        ({"schedule": {"exponent": float("nan")}}, []),
+        ({"denoiser": {"confusion": "0"}}, []),
+        ({"anchors": {"frames": [10, 40], "targets": [["1", 0, 0], [0, 0, 0]]}}, []),
+        ({"anchors": {"count": 4.0}}, []),
     ],
 )
 def test_main_config_defect_exit_two(tmp_path, capsys, doc, flags):
@@ -294,7 +360,7 @@ def test_run_refine_from_the_optimum_exits_zero(tmp_path):
 @pytest.mark.parametrize("rise, code", [(1e-12, 0), (1e-6, 1)])
 def test_run_refine_divergence_check_shares_the_guard_slack(tmp_path, monkeypatch, rise, code):
     values = iter([2.0, 2.0 * (1.0 + rise)])
-    monkeypatch.setattr(cli, "objective", lambda *args: (next(values), {}))
+    monkeypatch.setattr(cli, "objective", lambda *args: (next(values), {"anc": 0.0}))
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"solver": {"steps": 1}}))
     assert main(["refine", "--config", str(config), "--out", str(tmp_path / "out")]) == code
@@ -319,6 +385,13 @@ def test_main_preset_overrides_steps(tmp_path):
     out = tmp_path / "out"
     assert main(["refine", "--config", str(config), "--out", str(out), "--preset", "rs100"]) == 0
     assert json.loads((out / "summary.json").read_text())["steps"] == 100
+
+
+def test_main_sample_rejects_preset(tmp_path):
+    # sampling runs no refinement steps, so a step preset would change nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--out", str(tmp_path), "--preset", "rs100"])
+    assert exc.value.code == 2
 
 
 def test_main_seed_flag_overrides_config(tmp_path):
