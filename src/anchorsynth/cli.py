@@ -7,8 +7,8 @@ Subcommands:
 * ``refine``: run the full lifecycle (scaffold -> features -> memory ->
   sample -> residuals -> routed refinement) and write the refined motion,
   anchors, a refinement trace CSV, and a summary with control errors.
-* ``bench``: time the pipeline per preset, writing CSV rows
-  ``setting,steps,time_per_sample_s``.
+* ``bench``: time the ``refine`` request (:func:`refine_request`) per preset,
+  writing CSV rows ``setting,steps,time_per_sample_s``.
 
 Configuration is a strict JSON document (unknown keys are rejected, exit
 code 2); runtime failures exit 1. One master seed drives every stochastic
@@ -26,7 +26,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +139,11 @@ def _take_fields(section: dict, where: str, cls, exclude: tuple[str, ...] = (), 
     ``defaults`` supplies a default the dataclass leaves out."""
     keys = {f.name: defaults.get(f.name, f.default) for f in fields(cls) if f.name not in exclude}
     values = _take(section, where, keys)
-    return cls(**{name: _typed(values[name], keys[name], f"{where}.{name}") for name in keys})
+    typed = {name: _typed(values[name], keys[name], f"{where}.{name}") for name in keys}
+    try:
+        return cls(**typed)
+    except ValueError as exc:  # a range check of the dataclass: name the section
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -163,19 +167,24 @@ def parse_config(doc: dict) -> RunConfig:
     try:
         # build_world derives the task seed from the master seed
         task = _take_fields(top["task"], "task", SynthTask, exclude=("seed",))
+        joint = top["family"].get("joint") if isinstance(top["family"], dict) else None
+        if joint is not None:  # before ControlFamily compares it with 0
+            _integer(joint, "family.joint")
         family = _take_fields(top["family"], "family", ControlFamily, variant="root3d")
-        if family.joint is not None:
-            _integer(family.joint, "family.joint")
 
         anc_raw = _take(top["anchors"], "anchors", {"count": None, "frames": None, "targets": None})
         if anc_raw["frames"] is not None:
             if anc_raw["count"] is not None:
                 raise ConfigError("anchors: give either count or frames, not both")
+            if not isinstance(anc_raw["frames"], (list, tuple)):
+                raise ConfigError(f"anchors.frames must be a list, got {anc_raw['frames']!r}")
             frames = tuple(_integer(f, "anchors.frames entry") for f in anc_raw["frames"])
             if len(set(frames)) != len(frames):
                 raise ConfigError("anchors.frames must be distinct")
             targets = anc_raw["targets"]
             if targets is not None:
+                if not isinstance(targets, (list, tuple)):
+                    raise ConfigError(f"anchors.targets must be a list, got {targets!r}")
                 row = (0.0,) * family.control_dim
                 targets = tuple(
                     _typed(t, row, f"anchors.targets[{i}]") for i, t in enumerate(targets)
@@ -183,13 +192,16 @@ def parse_config(doc: dict) -> RunConfig:
                 if len(targets) != len(frames):
                     raise ConfigError("anchors: one target per frame required")
             anchors = AnchorSpec(count=None, frames=frames, targets=targets)
+        elif anc_raw["targets"] is not None:
+            raise ConfigError("anchors.targets needs anchors.frames")
         else:
-            count = 4 if anc_raw["count"] is None else _integer(anc_raw["count"], "anchors.count")
-            if count not in SAMPLED_ANCHOR_COUNTS:
+            anchors = AnchorSpec()
+            if anc_raw["count"] is not None:
+                anchors = AnchorSpec(_integer(anc_raw["count"], "anchors.count"))
+            if anchors.count not in SAMPLED_ANCHOR_COUNTS:
                 raise ConfigError(
                     f"anchors.count must be one of {list(SAMPLED_ANCHOR_COUNTS)}"
                 )
-            anchors = AnchorSpec(count=count)
 
         tokens = _take_fields(top["tokens"], "tokens", TokenConfig)
         schedule = _take_fields(top["schedule"], "schedule", FlowSchedule)
@@ -321,22 +333,12 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _write_sample_trace(path: Path, rows: list[SampleStep]) -> None:
+def _write_trace(path: Path, header: list[str], rows: list) -> None:
+    """A trace CSV: one row per trace record, each field at repr precision."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "t", "updates", "mean_d"])
-        for r in rows:
-            writer.writerow([r.step, repr(r.t), r.updates, repr(r.mean_distance)])
-
-
-def _write_refine_trace(path: Path, rows: list[RefineStep]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "objective", "anchor_loss", "mean_activity", "update_norm"])
-        for r in rows:
-            writer.writerow(
-                [r.step, repr(r.objective), repr(r.anchor_loss), repr(r.mean_activity), repr(r.update_norm)]
-            )
+        writer.writerow(header)
+        writer.writerows([repr(v) for v in astuple(r)] for r in rows)
 
 
 def run_sample(config: RunConfig, out_dir: str | Path) -> dict:
@@ -357,81 +359,95 @@ def run_sample(config: RunConfig, out_dir: str | Path) -> dict:
         "seed": config.seed,
     }
     save_motion(out / "motion.bin", motion)
-    _write_sample_trace(out / "trace.csv", trace)
+    _write_trace(out / "trace.csv", ["step", "t", "updates", "mean_d"], trace)
     _write_json(out / "tokens.json", {"ids": tokens.ids.tolist()})
     _write_json(out / "summary.json", summary)
     return summary
 
 
-def run_refine(config: RunConfig, out_dir: str | Path) -> dict:
-    """Full lifecycle: sample, decode, refine against the anchors.
+@dataclass(frozen=True)
+class RefineRun:
+    """What one refine request yields: the motions before and after refinement."""
 
-    Raises ``RefinementDiverged``, before any artifact is written, when the
-    refined objective is not finite or exceeds the initial one by more than
-    the gradient-descent guard's slack.
+    world: World
+    tokens: TokenSeq
+    initial: Motion
+    refined: Motion
+    trace: list[RefineStep]
+    anchor_loss_before: float
+    seconds: float  # generate -> soft_init -> build_intervals -> refine
+
+
+def refine_request(config: RunConfig) -> RefineRun:
+    """Generate under the anchors, then refine against them: the request that
+    ``refine`` writes out and ``bench`` times.
+
+    Raises ``RefinementDiverged`` when the refined objective is not finite or
+    exceeds the initial one by more than the gradient-descent guard's slack.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     world = build_world(config)
-
+    started = time.perf_counter()
     tokens = generate(world, config)
     soft = soft_init(tokens, world.codebook)
-    initial = world.decoder.decode(soft.u)
-    error_before = control_error(initial, world.anchors)
-
     intervals = build_intervals(world.anchors, world.gt.frames)
-    started = time.perf_counter()
     refined_soft, trace = refine(
         soft, world.decoder, world.anchors, intervals, config.solver, config.tokens.frames_per_token
     )
-    elapsed = time.perf_counter() - started
+    seconds = time.perf_counter() - started
     value_before, parts_before = objective(soft, world.decoder, world.anchors, config.solver)
     value_after, _ = objective(refined_soft, world.decoder, world.anchors, config.solver)
     if not value_after <= GUARD_SLACK * value_before:
         raise RefinementDiverged(
             f"refinement diverged: objective {value_before!r} -> {value_after!r}"
         )
-    refined = world.decoder.decode(refined_soft.u)
-    error_after = control_error(refined, world.anchors)
+    return RefineRun(
+        world=world,
+        tokens=tokens,
+        initial=world.decoder.decode(soft.u),
+        refined=world.decoder.decode(refined_soft.u),
+        trace=trace,
+        anchor_loss_before=parts_before["anc"],
+        seconds=seconds,
+    )
 
+
+def run_refine(config: RunConfig, out_dir: str | Path) -> dict:
+    """Write the refine request's artifacts, none if it diverges; returns the summary dict."""
+    run = refine_request(config)
+    anchors = run.world.anchors
     summary = {
-        "control_error_before": error_before,
-        "control_error_after": error_after,
-        "anchor_loss_before": parts_before["anc"],
+        "control_error_before": control_error(run.initial, anchors),
+        "control_error_after": control_error(run.refined, anchors),
+        "anchor_loss_before": run.anchor_loss_before,
         "steps": config.solver.steps,
-        "num_anchors": len(world.anchors),
-        "token_match": float(np.mean(tokens.ids == world.clean.ids)),
+        "num_anchors": len(anchors),
+        "token_match": float(np.mean(run.tokens.ids == run.world.clean.ids)),
         "seed": config.seed,
     }
-    save_motion(out / "motion_initial.bin", initial)
-    save_motion(out / "motion_refined.bin", refined)
-    save_anchors(out / "anchors.json", world.anchors)
-    _write_refine_trace(out / "trace.csv", trace)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_motion(out / "motion_initial.bin", run.initial)
+    save_motion(out / "motion_refined.bin", run.refined)
+    save_anchors(out / "anchors.json", anchors)
+    header = ["step", "objective", "anchor_loss", "mean_activity", "update_norm"]
+    _write_trace(out / "trace.csv", header, run.trace)
     _write_json(out / "summary.json", summary)
-    print(f"refine: {config.solver.steps} steps in {elapsed:.3f} s")
+    print(f"refine: {config.solver.steps} steps, request {run.seconds:.3f} s")
     return summary
 
 
 def run_bench(config: RunConfig, out_dir: str | Path, presets: list[str] | None = None) -> list[dict]:
-    """Time the sample+refine pipeline per preset; informational only."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    names = presets if presets is not None else ["rs0", "rs100", "rs200", "rs500"]
-
+    """Time the refine request per preset; a diverged one raises before ``bench.csv`` is written."""
     rows = []
-    for name in names:
+    for name in PRESETS if presets is None else presets:
         if name not in PRESETS:
             raise ConfigError(f"unknown preset {name!r}")
         cfg = replace(config, solver=replace(config.solver, steps=PRESETS[name]))
-        world = build_world(cfg)
-        started = time.perf_counter()
-        tokens = generate(world, cfg)
-        soft = soft_init(tokens, world.codebook)
-        intervals = build_intervals(world.anchors, world.gt.frames)
-        refine(soft, world.decoder, world.anchors, intervals, cfg.solver, cfg.tokens.frames_per_token)
-        elapsed = time.perf_counter() - started
-        rows.append({"setting": name, "steps": PRESETS[name], "time_per_sample_s": elapsed})
+        seconds = refine_request(cfg).seconds
+        rows.append({"setting": name, "steps": PRESETS[name], "time_per_sample_s": seconds})
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "bench.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["setting", "steps", "time_per_sample_s"])

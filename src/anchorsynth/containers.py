@@ -18,7 +18,8 @@ Anchor sets exchange as JSON documents::
      "anchors": [{"frame": int, "target": [floats]}]}
 
 The family's residual tolerance is a solver-side setting and is not part of
-the document; it is supplied when loading.
+the document; it is supplied when loading. A malformed document raises
+``ValueError`` naming the file and the defect.
 """
 
 from __future__ import annotations
@@ -76,11 +77,15 @@ def load_array(path: str | Path) -> np.ndarray:
     return data.reshape(shape).astype(np.float64)
 
 
-def _load_json_array(path: Path) -> np.ndarray:
+def _read_json(path: Path):
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _load_json_array(path: Path) -> np.ndarray:
+    doc = _read_json(path)
     if not isinstance(doc, dict) or set(doc) != {"shape", "data"}:
         raise ValueError(f"{path}: an array container is an object with keys 'shape' and 'data'")
     shape = doc["shape"]
@@ -116,12 +121,27 @@ def save_anchors(path: str | Path, anchors: AnchorSet) -> None:
 
 
 def load_anchors(path: str | Path, tolerance: float = 0.05) -> AnchorSet:
-    doc = json.loads(Path(path).read_text())
-    variant = doc["family"]
+    """Read an anchor document; a malformed one raises ``ValueError`` naming the file."""
+    path = Path(path)
+    doc = _read_json(path)
+    keys = set(doc) if isinstance(doc, dict) else set()
+    if not {"family", "anchors"} <= keys <= {"family", "joint", "anchors"}:
+        raise ValueError(f"{path}: need an object with keys 'family', 'anchors' and optionally 'joint'")
+    if not isinstance(doc["anchors"], list):
+        raise ValueError(f"{path}: anchors must be a list, got {doc['anchors']!r}")
+    for i, entry in enumerate(doc["anchors"]):
+        if not isinstance(entry, dict) or set(entry) != {"frame", "target"}:
+            raise ValueError(f"{path}: anchors[{i}] must be an object with keys 'frame' and 'target'")
+        if type(entry["frame"]) is not int:
+            raise ValueError(f"{path}: anchors[{i}].frame must be an integer, got {entry['frame']!r}")
+        target = entry["target"]
+        if not isinstance(target, list) or not all(type(v) in (int, float) for v in target):
+            raise ValueError(f"{path}: anchors[{i}].target must be a list of numbers, got {target!r}")
     joint = doc.get("joint")
-    family = ControlFamily(variant, tolerance, joint if variant == BODY_POINT else None)
-    anchors = tuple(
-        Anchor(entry["frame"], np.asarray(entry["target"], dtype=np.float64))
-        for entry in doc["anchors"]
-    )
-    return AnchorSet(family, anchors)
+    if joint is not None and type(joint) is not int:
+        raise ValueError(f"{path}: joint must be an integer, got {joint!r}")
+    try:
+        family = ControlFamily(doc["family"], tolerance, joint)
+        return AnchorSet(family, tuple(Anchor(e["frame"], e["target"]) for e in doc["anchors"]))
+    except (TypeError, ValueError, OverflowError) as exc:  # the family and anchor checks
+        raise ValueError(f"{path}: {exc}") from exc

@@ -1,9 +1,9 @@
 """Anchor scaffold construction.
 
-Sparse anchors are (frame, selector, target) constraints on the observed
-subspace of a motion. This module turns an anchor set into everything the
-rest of the pipeline consumes: frame-level condition features with an
-interpolation prior, local-support supervision maps, post-generation
+Sparse anchors are (frame, target) constraints on the subspace of a motion
+that their control family observes. This module turns an anchor set into
+everything the rest of the pipeline consumes: frame-level condition features
+with an interpolation prior, local-support supervision maps, post-generation
 residuals, and the temporal interval partition used for routed refinement.
 
 All functions are pure; values are immutable after construction.
@@ -16,21 +16,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .motion import BODY_POINT, ControlFamily, Motion, observe
+from .motion import ControlFamily, Motion, observe
 
 
 @dataclass(frozen=True)
 class Anchor:
-    """A single sparse constraint: the observed value at one frame.
-
-    ``selector`` names the controlled component; it is the joint index for
-    body-point control and 0 (the unit selector) otherwise. ``None`` defers
-    to the owning anchor set's family.
-    """
+    """A single sparse constraint: the observed value at one frame."""
 
     frame: int
     target: np.ndarray
-    selector: int | None = None
 
     def __post_init__(self):
         # a read-only copy: the anchor never moves with the caller's array
@@ -46,20 +40,13 @@ class Anchor:
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Anchors of one control family, sorted by frame, unique (frame, selector)."""
+    """Anchors of one control family, sorted by frame, one per frame."""
 
     family: ControlFamily
     anchors: tuple[Anchor, ...] = ()
 
     def __post_init__(self):
-        default_sel = self.family.joint if self.family.variant == BODY_POINT else 0
-        normalized = []
         for a in self.anchors:
-            sel = default_sel if a.selector is None else a.selector
-            if sel != default_sel:
-                raise ValueError(
-                    f"anchor selector {sel} does not match family selector {default_sel}"
-                )
             if a.target.shape != (self.family.control_dim,):
                 raise ValueError(
                     f"anchor target dim {a.target.shape[0]} != control dim "
@@ -67,12 +54,10 @@ class AnchorSet:
                 )
             if a.frame < 0:
                 raise ValueError("anchor frame must be nonnegative")
-            normalized.append(Anchor(a.frame, a.target, sel))
-        normalized.sort(key=lambda a: a.frame)
-        keys = [(a.frame, a.selector) for a in normalized]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate (frame, selector) anchors")
-        object.__setattr__(self, "anchors", tuple(normalized))
+        anchors = tuple(sorted(self.anchors, key=lambda a: a.frame))
+        if len({a.frame for a in anchors}) != len(anchors):
+            raise ValueError("duplicate anchor frames")
+        object.__setattr__(self, "anchors", anchors)
 
     def __len__(self) -> int:
         return len(self.anchors)

@@ -14,7 +14,8 @@ changing results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -22,15 +23,14 @@ import numpy as np
 from . import _kernels
 
 
-@dataclass
+@dataclass(frozen=True)
 class Codebook:
     """Finite embedding table, shape (size, dim); every row has norm > 0."""
 
     embeddings: np.ndarray
-    _distances: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        emb = np.asarray(self.embeddings, dtype=np.float64)
+        emb = np.array(self.embeddings, dtype=np.float64)  # read-only copy: no stale metric
         if emb.ndim != 2 or emb.shape[0] < 1:
             raise ValueError("embeddings must be a (size, dim) array")
         if not np.all(np.isfinite(emb)):
@@ -38,7 +38,8 @@ class Codebook:
         norms = np.linalg.norm(emb, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("invalid codebook: zero-norm embedding row")
-        self.embeddings = emb
+        emb.setflags(write=False)
+        object.__setattr__(self, "embeddings", emb)
 
     @property
     def size(self) -> int:
@@ -48,16 +49,15 @@ class Codebook:
     def dim(self) -> int:
         return self.embeddings.shape[1]
 
-    @property
+    @cached_property
     def distances(self) -> np.ndarray:
-        """Pairwise metric distances (2 - 2 cos)^2, zero diagonal, cached."""
-        if self._distances is None:
-            unit = self.embeddings / np.linalg.norm(self.embeddings, axis=1, keepdims=True)
-            cos = np.clip(unit @ unit.T, -1.0, 1.0)
-            dist = (2.0 - 2.0 * cos) ** 2
-            np.fill_diagonal(dist, 0.0)
-            self._distances = dist
-        return self._distances
+        """Pairwise metric distances (2 - 2 cos)^2, zero diagonal; cached, read-only."""
+        unit = self.embeddings / np.linalg.norm(self.embeddings, axis=1, keepdims=True)
+        cos = np.clip(unit @ unit.T, -1.0, 1.0)
+        dist = (2.0 - 2.0 * cos) ** 2
+        np.fill_diagonal(dist, 0.0)
+        dist.setflags(write=False)
+        return dist
 
 
 @dataclass(frozen=True)
@@ -154,17 +154,14 @@ def _corruption_rows(cb: Codebook, t: float, sched: FlowSchedule, ids: np.ndarra
 def corruption_dist(cb: Codebook, x1: int, t: float, sched: FlowSchedule) -> np.ndarray:
     """Corruption distribution q_t(. | x1) over the codebook.
 
-    Softmax of -beta(t) * d(., x1), computed with max subtraction. At t = 0
-    it is uniform; as t grows it concentrates on x1.
+    The sampler's softmax row of -beta(t) * d(., x1) (``_corruption_rows``).
+    At t = 0 it is uniform; as t grows it concentrates on x1.
     """
     if not (0 <= x1 < cb.size):
         raise ValueError("token id out of range")
     if not (0.0 <= t <= sched.t_max):
         raise ValueError(f"t must lie in [0, t_max], got {t}")
-    logits = -sched.beta(t) * cb.distances[x1]
-    logits -= logits.max()
-    num = np.exp(logits)
-    return num / num.sum()
+    return _corruption_rows(cb, t, sched, np.array([x1]))[0]
 
 
 def corrupt(

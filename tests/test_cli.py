@@ -290,6 +290,28 @@ def test_main_config_defect_exit_two(tmp_path, capsys, doc, flags):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"family": {"variant": "body_point", "joint": "x"}}, "family.joint must be an integer"),
+        ({"family": {"variant": "body_point", "joint": -1}}, "family: body_point control needs"),
+        ({"family": {"tolerance": 0.0}}, "family: tolerance must be positive"),
+        ({"schedule": {"exponent": -1.0}}, "schedule: exponent and scale must be positive"),
+        ({"schedule": {"t_max": 1.0}}, "schedule: t_max must lie in (0, 1)"),
+        ({"solver": {"optimizer": "adam"}}, "solver: optimizer must be 'gd' or 'heavy_ball'"),
+        ({"task": {"kind": "spiral"}}, "task: unknown motion kind 'spiral'"),
+        ({"anchors": {"targets": [[0.0, 0.0, 0.0]]}}, "anchors.targets needs anchors.frames"),
+        ({"anchors": {"frames": 5}}, "anchors.frames must be a list, got 5"),
+        ({"anchors": {"frames": [3, 9], "targets": 5}}, "anchors.targets must be a list, got 5"),
+    ],
+)
+def test_main_config_error_names_the_key(tmp_path, capsys, doc, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    assert main(["refine", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_main_unreadable_config_exit_two(tmp_path):
     assert main(["sample", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
 
@@ -340,6 +362,19 @@ def test_main_diverged_heavy_ball_exit_one(tmp_path, capsys, step_size):
     assert code == 1
     assert "refinement diverged" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+def test_bench_diverged_heavy_ball_exit_one(tmp_path, capsys):
+    # bench runs the refine request, divergence check included
+    config = tmp_path / "cfg.json"
+    solver = {"optimizer": "heavy_ball", "step_size": 0.065, "steps": 500}
+    config.write_text(json.dumps({"solver": solver}))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["bench", "--config", str(config), "--out", str(out), "--preset", "rs500"])
+    assert code == 1
+    assert "refinement diverged" in capsys.readouterr().err
+    assert not (out / "bench.csv").exists()
 
 
 def test_run_refine_from_the_optimum_exits_zero(tmp_path):

@@ -93,6 +93,47 @@ def test_malformed_container_fails_at_the_boundary(tmp_path, name, content, defe
     assert str(path) in str(info.value)
 
 
+GOOD_ANCHOR = {"frame": 3, "target": [0.25, -1.5, 3.0]}
+DOC_KEYS = "keys 'family', 'anchors' and optionally 'joint'"
+
+
+def _root3d(*anchors):
+    return {"family": "root3d", "anchors": list(anchors)}
+
+
+@pytest.mark.parametrize(
+    "name, doc, defect",
+    [
+        ("broken", "{", "not valid JSON"),
+        ("list", [GOOD_ANCHOR], DOC_KEYS),
+        ("nofamily", {"anchors": [GOOD_ANCHOR]}, DOC_KEYS),
+        ("noanchors", {"family": "root3d"}, DOC_KEYS),
+        ("extrakey", {**_root3d(GOOD_ANCHOR), "tolerance": 0.1}, DOC_KEYS),
+        ("anchorsobject", {"family": "root3d", "anchors": GOOD_ANCHOR}, "anchors must be a list"),
+        ("entrynumber", _root3d(3), r"anchors\[0\] must be an object"),
+        ("noframe", _root3d({"target": [0, 0, 0]}), "keys 'frame' and 'target'"),
+        ("notarget", _root3d({"frame": 3}), "keys 'frame' and 'target'"),
+        ("extraentrykey", _root3d({**GOOD_ANCHOR, "weight": 2.0}), "keys 'frame' and 'target'"),
+        ("floatframe", _root3d({"frame": 3.5, "target": [0, 0, 0]}), "frame must be an integer"),
+        ("boolframe", _root3d({"frame": True, "target": [0, 0, 0]}), "frame must be an integer"),
+        ("strtarget", _root3d(GOOD_ANCHOR, {"frame": 5, "target": ["x", 0, 0]}), "target must be a list"),
+        ("scalartarget", _root3d({"frame": 3, "target": 1.0}), "target must be a list of numbers"),
+        ("shorttarget", _root3d({"frame": 3, "target": [0, 0]}), "control dim"),
+        ("negframe", _root3d({"frame": -1, "target": [0, 0, 0]}), "nonnegative"),
+        ("repeated", _root3d(GOOD_ANCHOR, GOOD_ANCHOR), "duplicate anchor frames"),
+        ("family", {"family": "circle", "anchors": []}, "unknown control family"),
+        ("joint", {"family": "body_point", "joint": "x", "anchors": []}, "joint must be an integer"),
+        ("rootjoint", {**_root3d(), "joint": 2}, "does not take a joint index"),
+    ],
+)
+def test_malformed_anchor_document_fails_at_the_boundary(tmp_path, name, doc, defect):
+    path = tmp_path / f"{name}.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(ValueError, match=defect) as info:
+        load_anchors(path)
+    assert str(path) in str(info.value)
+
+
 def test_motion_round_trip_both_formats(tmp_path):
     motion = Motion(np.random.default_rng(2).normal(size=(6, 2, 3)))
     for name in ("m.json", "m.bin"):

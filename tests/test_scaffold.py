@@ -402,6 +402,18 @@ def test_anchor_set_rejects_duplicates_and_sorts():
     assert [x.frame for x in anchors.anchors] == [2, 9]
 
 
+def test_anchor_set_keeps_its_anchors_and_takes_one_per_frame():
+    # the family alone says which component an anchor controls
+    family = ControlFamily.body_point(2)
+    late, early = Anchor(9, np.zeros(3)), Anchor(2, np.ones(3))
+    anchors = AnchorSet(family, (late, early))
+    assert anchors.anchors[0] is early and anchors.anchors[1] is late  # sorted, not rebuilt
+    with pytest.raises(TypeError):
+        Anchor(3, np.zeros(3), 2)
+    with pytest.raises(ValueError, match="duplicate anchor frames"):
+        AnchorSet(family, (late, Anchor(9, np.ones(3))))
+
+
 def test_motion_validation():
     with pytest.raises(ValueError):
         Motion(np.zeros((1, 2, 3)))  # too few frames

@@ -51,6 +51,23 @@ def test_codebook_rejects_zero_norm_row():
         Codebook(rows)
 
 
+def test_codebook_is_a_frozen_value():
+    emb = np.random.default_rng(3).normal(size=(5, 3))
+    cb = Codebook(emb)
+    before = cb.distances.copy()
+    emb[0] = emb[1]  # the caller's array is not the codebook's
+    np.testing.assert_array_equal(cb.distances, before)
+    for array in (cb.embeddings, cb.distances):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 1] = 0.0
+    np.testing.assert_array_equal(cb.distances, Codebook(cb.embeddings).distances)
+
+
+def test_codebook_metric_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        Codebook(np.eye(3), _distances=np.zeros((3, 3)))
+
+
 # ------------------------------------------------------------------ schedule
 
 
